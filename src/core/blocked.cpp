@@ -4,6 +4,8 @@
 
 #include "core/reshape.hpp"
 #include "core/serialize.hpp"
+#include "io/container_error.hpp"
+#include "la/matrix.hpp"
 #include "obs/obs.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -92,9 +94,23 @@ sim::Field BlockedPreconditioner::decode(const io::Container& container,
   const obs::ScopedSpan span("blocked");
   const auto& meta_section = require_section(container, "meta", "blocked");
   const auto meta = bytes_to_u64s(meta_section.bytes);
-  const std::size_t count = meta.at(0);
-  const std::size_t rows = meta.at(1);
-  const std::size_t cols = meta.at(2);
+  if (meta.size() != 3) {
+    throw io::ContainerError(io::ContainerErrc::kSectionMalformed,
+                             "blocked decode: meta size mismatch", "meta");
+  }
+  const std::size_t count = meta[0];
+  const std::size_t rows = meta[1];
+  const std::size_t cols = meta[2];
+  // The stream's grid must be the container's before it sizes anything.
+  if (count == 0 || count > rows ||
+      la::checked_cells(rows, cols) !=
+          la::checked_cells(la::checked_cells(container.nx, container.ny),
+                            container.nz)) {
+    throw io::ContainerError(io::ContainerErrc::kSectionMalformed,
+                             "blocked decode: block grid does not match the "
+                             "field shape",
+                             "meta");
+  }
   const auto blocks = make_blocks(rows, count);
 
   // Block row ranges are disjoint, so each task scatters into its own
@@ -103,10 +119,18 @@ sim::Field BlockedPreconditioner::decode(const io::Container& container,
   parallel::parallel_for(count, [&](std::size_t b) {
     const std::string block_name = "block" + std::to_string(b);
     const auto& section = require_section(container, block_name, "blocked");
-    const sim::Field block =
-        inner_->decode(io::deserialize(section.bytes), codecs, nullptr);
-    const std::size_t expected = (blocks[b].end - blocks[b].begin) * cols;
-    if (block.size() != expected) {
+    // Each block was encoded as a (rows x cols x 1) field; its nested
+    // header is stream-controlled too, so check it before the inner
+    // decoder sizes anything from it.
+    const io::Container nested = io::deserialize(section.bytes);
+    const std::size_t block_rows = blocks[b].end - blocks[b].begin;
+    if (nested.nx != block_rows || nested.ny != cols || nested.nz != 1) {
+      throw io::ContainerError(io::ContainerErrc::kSectionMalformed,
+                               "blocked decode: block shape mismatch",
+                               block_name);
+    }
+    const sim::Field block = inner_->decode(nested, codecs, nullptr);
+    if (block.size() != block_rows * cols) {
       throw io::ContainerError(io::ContainerErrc::kSectionMalformed,
                                "blocked decode: block size mismatch",
                                block_name);

@@ -6,6 +6,7 @@
 #include "core/pca.hpp"
 #include "core/reshape.hpp"
 #include "core/serialize.hpp"
+#include "io/container_error.hpp"
 #include "la/covariance.hpp"
 #include "la/eigen.hpp"
 #include "obs/obs.hpp"
@@ -149,25 +150,43 @@ sim::Field PartitionedPcaPreconditioner::decode(
   const auto& meta_section = require_section(container, "meta", "pca-part");
   const auto& delta_section = require_section(container, "delta", "pca-part");
   const auto meta = bytes_to_u64s(meta_section.bytes);
-  const std::size_t count = meta.at(0);
-
-  // Total rows = sum of block rows recorded in the meta stream.
+  const auto malformed = [](const std::string& what,
+                            const std::string& section) {
+    return io::ContainerError(io::ContainerErrc::kSectionMalformed,
+                              "pca-part decode: " + what, section);
+  };
+  // meta = {count, k0, rows0, k1, rows1, ...}: every size is stream-
+  // controlled, so the block rows must tile the container's cells before
+  // anything is divided or allocated.
+  if (meta.size() % 2 == 0 || meta[0] != meta.size() / 2) {
+    throw malformed("block table size mismatch", "meta");
+  }
+  const std::size_t count = meta[0];
+  const std::size_t cells = la::checked_cells(
+      la::checked_cells(container.nx, container.ny), container.nz);
   std::size_t total_rows = 0;
-  for (std::size_t b = 0; b < count; ++b) total_rows += meta.at(2 + 2 * b);
-  const std::size_t cols =
-      container.nx * container.ny * container.nz / total_rows;
+  for (std::size_t b = 0; b < count; ++b) {
+    if (meta[2 + 2 * b] > cells - total_rows) {
+      throw malformed("block rows exceed the field", "meta");
+    }
+    total_rows += meta[2 + 2 * b];
+  }
+  if (total_rows == 0 || cells % total_rows != 0) {
+    throw malformed("block rows do not tile the field", "meta");
+  }
+  const std::size_t cols = cells / total_rows;
 
   // First row of each block: prefix sums of the per-block row counts, so
   // the per-block decodes can scatter into disjoint ranges concurrently.
   std::vector<std::size_t> row_offset(count, 0);
   for (std::size_t b = 1; b < count; ++b) {
-    row_offset[b] = row_offset[b - 1] + meta.at(2 + 2 * (b - 1));
+    row_offset[b] = row_offset[b - 1] + meta[2 + 2 * (b - 1)];
   }
 
   la::Matrix reconstruction(total_rows, cols);
   parallel::parallel_for(count, [&](std::size_t b) {
-    const std::size_t k = meta.at(1 + 2 * b);
-    const std::size_t rows = meta.at(2 + 2 * b);
+    const std::size_t k = meta[1 + 2 * b];
+    const std::size_t rows = meta[2 + 2 * b];
     const std::string suffix = std::to_string(b);
     const auto& scores_section =
         require_section(container, "scores" + suffix, "pca-part");
@@ -178,6 +197,9 @@ sim::Field PartitionedPcaPreconditioner::decode(
     la::Matrix scores(rows, k,
                       codecs.reduced->decompress(scores_section.bytes));
     const la::Matrix basis = bytes_to_matrix(basis_section.bytes);
+    if (basis.rows() != cols) {
+      throw malformed("basis width mismatch", "basis" + suffix);
+    }
     const auto means = bytes_to_doubles(means_section.bytes);
 
     la::Matrix block_recon = scores * basis.transposed();

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "compress/factory.hpp"
 #include "obs/obs.hpp"
 
 #include "core/blocked.hpp"
@@ -15,6 +16,17 @@
 #include "core/wavelet_precond.hpp"
 
 namespace rmp::core {
+
+Codecs make_codecs(const std::string& name) {
+  if (name == "sz") {
+    return {compress::make_sz_original(), compress::make_sz_delta()};
+  }
+  if (name == "zfp") {
+    return {compress::make_zfp_original(), compress::make_zfp_delta()};
+  }
+  throw std::invalid_argument("unknown codec '" + name +
+                              "' (expected sz or zfp)");
+}
 
 std::unique_ptr<Preconditioner> make_preconditioner(const std::string& name) {
   // "first>second" composes two stages (core/cascade.hpp).

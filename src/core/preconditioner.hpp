@@ -26,6 +26,17 @@ struct CodecPair {
   const compress::Compressor* delta;
 };
 
+/// Owning codec pair: one of the paper's two configurations.
+struct Codecs {
+  std::unique_ptr<compress::Compressor> reduced;
+  std::unique_ptr<compress::Compressor> delta;
+  CodecPair pair() const { return {reduced.get(), delta.get()}; }
+};
+
+/// "sz" (pw-rel 1e-5 reduced / 1e-3 delta) or "zfp" (fixed precision 16
+/// reduced / 8 delta); throws std::invalid_argument for any other name.
+Codecs make_codecs(const std::string& name);
+
 struct EncodeStats {
   std::size_t reduced_bytes = 0;  ///< reduced-representation payload
   std::size_t delta_bytes = 0;    ///< compressed delta payload

@@ -48,10 +48,12 @@ la::Matrix bytes_to_matrix(std::span<const std::uint8_t> bytes) {
   std::memcpy(header, bytes.data(), sizeof(header));
   const std::size_t rows = header[0];
   const std::size_t cols = header[1];
-  if (bytes.size() != sizeof(header) + rows * cols * sizeof(double)) {
+  const std::size_t payload = bytes.size() - sizeof(header);
+  if (payload % sizeof(double) != 0 ||
+      payload / sizeof(double) != la::checked_cells(rows, cols)) {
     throw std::invalid_argument("bytes_to_matrix: size mismatch");
   }
-  std::vector<double> data(rows * cols);
+  std::vector<double> data(payload / sizeof(double));
   copy_bytes(data.data(), bytes.data() + sizeof(header),
              data.size() * sizeof(double));
   return la::Matrix(rows, cols, std::move(data));

@@ -449,6 +449,15 @@ Section& Container::add(std::string name, std::vector<std::uint8_t> bytes) {
   return sections.back();
 }
 
+const char* to_string(SectionState state) {
+  switch (state) {
+    case SectionState::kOk: return "ok";
+    case SectionState::kRepaired: return "repaired";
+    case SectionState::kDamaged: return "damaged";
+  }
+  return "unknown";
+}
+
 bool ReadReport::complete() const {
   return std::none_of(sections.begin(), sections.end(), [](const auto& s) {
     return s.state == SectionState::kDamaged;

@@ -71,6 +71,9 @@ enum class SectionState : std::uint8_t {
   kDamaged,   ///< payload CRC failed and no repair was possible
 };
 
+/// "ok", "repaired" or "damaged".
+const char* to_string(SectionState state);
+
 struct SectionHealth {
   std::string name;
   SectionState state = SectionState::kOk;

@@ -15,9 +15,17 @@ constexpr std::size_t kParallelFlopCutoff = 1u << 15;
 
 }  // namespace
 
+std::size_t checked_cells(std::size_t rows, std::size_t cols) {
+  std::size_t cells = 0;
+  if (__builtin_mul_overflow(rows, cols, &cells)) {
+    throw std::invalid_argument("Matrix: rows * cols overflows");
+  }
+  return cells;
+}
+
 Matrix::Matrix(std::size_t rows, std::size_t cols, std::vector<double> data)
     : rows_(rows), cols_(cols), data_(std::move(data)) {
-  if (data_.size() != rows_ * cols_) {
+  if (data_.size() != checked_cells(rows_, cols_)) {
     throw std::invalid_argument("Matrix: buffer size does not match shape");
   }
 }

@@ -13,13 +13,17 @@
 
 namespace rmp::la {
 
+/// rows * cols; throws std::invalid_argument when the product overflows
+/// (shapes can come from untrusted streams).
+std::size_t checked_cells(std::size_t rows, std::size_t cols);
+
 class Matrix {
  public:
   Matrix() = default;
 
   /// rows x cols matrix, every element set to `init`.
   Matrix(std::size_t rows, std::size_t cols, double init = 0.0)
-      : rows_(rows), cols_(cols), data_(rows * cols, init) {}
+      : rows_(rows), cols_(cols), data_(checked_cells(rows, cols), init) {}
 
   /// Adopt an existing flat row-major buffer (must hold rows*cols values).
   Matrix(std::size_t rows, std::size_t cols, std::vector<double> data);

@@ -242,7 +242,9 @@ std::vector<std::uint8_t> encode_frame(MsgType type, std::uint64_t request_id,
   store_le32(out.data() + 24, static_cast<std::uint32_t>(payload.size()));
   store_le32(out.data() + 28, payload.empty() ? 0u : io::crc32(payload));
   store_le32(out.data() + 32, io::crc32({out.data(), 32}));
-  std::memcpy(out.data() + kFrameHeaderBytes, payload.data(), payload.size());
+  // memcpy from an empty span's null data() is undefined even for 0 bytes.
+  if (!payload.empty())
+    std::memcpy(out.data() + kFrameHeaderBytes, payload.data(), payload.size());
   return out;
 }
 
@@ -525,32 +527,9 @@ ScrubResponse ScrubResponse::decode(std::span<const std::uint8_t> payload) {
 
 std::vector<std::uint8_t> StatsResponse::encode() const {
   PayloadWriter w;
-  w.u64(queue_depth);
-  w.u64(queue_capacity);
-  w.u64(accepted);
-  w.u64(rejected_busy);
-  w.u64(rejected_shutdown);
-  w.u64(deadline_missed);
-  w.u64(completed);
-  w.u64(failed);
-  w.u64(sessions_active);
-  w.u64(sessions_total);
-  w.u64(protocol_errors);
-  w.u64(recovery_journals_resumed);
-  w.u64(recovery_steps_recovered);
-  w.u64(recovery_files_repaired);
-  w.u64(recovery_files_quarantined);
-  w.u64(scrub_passes);
-  w.u64(scrub_sections_checked);
-  w.u64(scrub_sections_repaired);
-  w.u64(scrub_quarantined);
-  w.u64(dedup_hits);
-  w.u64(dedup_evictions);
-  w.u64(dedup_entries);
-  w.u64(inflight_bytes);
-  w.u64(max_inflight_bytes);
-  w.u64(admission_bytes_rejected);
-  w.u64(stalled_sessions);
+#define RMP_STATS_WRITE(name) w.u64(name);
+  RMP_STATS_FIELDS(RMP_STATS_WRITE, RMP_STATS_WRITE)
+#undef RMP_STATS_WRITE
   w.str(obs_json);
   return w.take();
 }
@@ -558,32 +537,9 @@ std::vector<std::uint8_t> StatsResponse::encode() const {
 StatsResponse StatsResponse::decode(std::span<const std::uint8_t> payload) {
   PayloadReader r(payload);
   StatsResponse resp;
-  resp.queue_depth = r.u64();
-  resp.queue_capacity = r.u64();
-  resp.accepted = r.u64();
-  resp.rejected_busy = r.u64();
-  resp.rejected_shutdown = r.u64();
-  resp.deadline_missed = r.u64();
-  resp.completed = r.u64();
-  resp.failed = r.u64();
-  resp.sessions_active = r.u64();
-  resp.sessions_total = r.u64();
-  resp.protocol_errors = r.u64();
-  resp.recovery_journals_resumed = r.u64();
-  resp.recovery_steps_recovered = r.u64();
-  resp.recovery_files_repaired = r.u64();
-  resp.recovery_files_quarantined = r.u64();
-  resp.scrub_passes = r.u64();
-  resp.scrub_sections_checked = r.u64();
-  resp.scrub_sections_repaired = r.u64();
-  resp.scrub_quarantined = r.u64();
-  resp.dedup_hits = r.u64();
-  resp.dedup_evictions = r.u64();
-  resp.dedup_entries = r.u64();
-  resp.inflight_bytes = r.u64();
-  resp.max_inflight_bytes = r.u64();
-  resp.admission_bytes_rejected = r.u64();
-  resp.stalled_sessions = r.u64();
+#define RMP_STATS_READ(name) resp.name = r.u64();
+  RMP_STATS_FIELDS(RMP_STATS_READ, RMP_STATS_READ)
+#undef RMP_STATS_READ
   resp.obs_json = r.str(kMaxDetailBytes * 16);
   r.finish();
   return resp;

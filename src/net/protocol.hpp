@@ -239,36 +239,45 @@ struct ScrubResponse {
   static ScrubResponse decode(std::span<const std::uint8_t> payload);
 };
 
+/// Every StatsResponse counter, in wire order.  COUNTER(name) marks a
+/// monotonic counter the server keeps in ServerStats and copies into the
+/// response; LIVE(name) marks a value read from live state at reply time.
+/// The recovery..stalled_sessions block is the v3 self-healing surface:
+/// startup recovery, background scrub, the idempotent-retry dedup window
+/// and byte-budget admission (max_inflight_bytes 0 = unlimited).
+#define RMP_STATS_FIELDS(COUNTER, LIVE) \
+  LIVE(queue_depth)                     \
+  LIVE(queue_capacity)                  \
+  COUNTER(accepted)                     \
+  COUNTER(rejected_busy)                \
+  COUNTER(rejected_shutdown)            \
+  COUNTER(deadline_missed)              \
+  COUNTER(completed)                    \
+  COUNTER(failed)                       \
+  COUNTER(sessions_active)              \
+  COUNTER(sessions_total)               \
+  COUNTER(protocol_errors)              \
+  COUNTER(recovery_journals_resumed)    \
+  COUNTER(recovery_steps_recovered)     \
+  COUNTER(recovery_files_repaired)      \
+  COUNTER(recovery_files_quarantined)   \
+  COUNTER(scrub_passes)                 \
+  COUNTER(scrub_sections_checked)       \
+  COUNTER(scrub_sections_repaired)      \
+  COUNTER(scrub_quarantined)            \
+  LIVE(dedup_hits)                      \
+  LIVE(dedup_evictions)                 \
+  LIVE(dedup_entries)                   \
+  LIVE(inflight_bytes)                  \
+  LIVE(max_inflight_bytes)              \
+  COUNTER(admission_bytes_rejected)     \
+  COUNTER(stalled_sessions)
+
 /// Server-side counters a client can poll without parsing obs JSON.
 struct StatsResponse {
-  std::uint64_t queue_depth = 0;
-  std::uint64_t queue_capacity = 0;
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected_busy = 0;
-  std::uint64_t rejected_shutdown = 0;
-  std::uint64_t deadline_missed = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t sessions_active = 0;
-  std::uint64_t sessions_total = 0;
-  std::uint64_t protocol_errors = 0;
-  // Self-healing surface (v3): startup recovery, background scrub, the
-  // idempotent-retry dedup window, and byte-budget admission control.
-  std::uint64_t recovery_journals_resumed = 0;
-  std::uint64_t recovery_steps_recovered = 0;
-  std::uint64_t recovery_files_repaired = 0;
-  std::uint64_t recovery_files_quarantined = 0;
-  std::uint64_t scrub_passes = 0;
-  std::uint64_t scrub_sections_checked = 0;
-  std::uint64_t scrub_sections_repaired = 0;
-  std::uint64_t scrub_quarantined = 0;
-  std::uint64_t dedup_hits = 0;
-  std::uint64_t dedup_evictions = 0;
-  std::uint64_t dedup_entries = 0;
-  std::uint64_t inflight_bytes = 0;
-  std::uint64_t max_inflight_bytes = 0;  ///< 0 = unlimited
-  std::uint64_t admission_bytes_rejected = 0;
-  std::uint64_t stalled_sessions = 0;
+#define RMP_STATS_DECLARE(name) std::uint64_t name = 0;
+  RMP_STATS_FIELDS(RMP_STATS_DECLARE, RMP_STATS_DECLARE)
+#undef RMP_STATS_DECLARE
   std::string obs_json;  ///< full rmp-obs-v1 registry dump
 
   std::vector<std::uint8_t> encode() const;

@@ -15,7 +15,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "compress/factory.hpp"
 #include "core/chunk_fetch.hpp"
 #include "core/guard.hpp"
 #include "core/pipeline.hpp"
@@ -36,10 +35,15 @@ std::string errno_text(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
 
-/// Store names become file names under the server's output directory;
-/// anything that could escape it (separators, dot-prefixed names) is a
-/// malformed request, not an I/O error.
-void validate_store_name(const std::string& name) {
+/// The file a store request names under the server's output directory.
+/// A server without one, or a name that could escape it (separators,
+/// dot-prefixed names), is a malformed request, not an I/O error.
+std::filesystem::path store_path(
+    const std::optional<std::filesystem::path>& output_dir,
+    const std::string& name) {
+  if (!output_dir)
+    throw NetError(NetErrc::kMalformedPayload,
+                   "store requested but the server has no --output-dir");
   if (name.empty())
     throw NetError(NetErrc::kMalformedPayload, "store request without a name");
   if (name.find('/') != std::string::npos ||
@@ -57,30 +61,27 @@ void validate_store_name(const std::string& name) {
                    "store name '" + name +
                        "' is reserved for store maintenance "
                        "(quarantine/, *.part, *.reqs, *.tmp.*)");
+  return *output_dir / name;
 }
 
-struct CodecSet {
-  std::unique_ptr<compress::Compressor> reduced;
-  std::unique_ptr<compress::Compressor> delta;
-  core::CodecPair pair() const { return {reduced.get(), delta.get()}; }
-};
-
-CodecSet make_codecs(const std::string& name) {
-  if (name == "sz")
-    return {compress::make_sz_original(), compress::make_sz_delta()};
-  if (name == "zfp")
-    return {compress::make_zfp_original(), compress::make_zfp_delta()};
-  throw NetError(NetErrc::kMalformedPayload,
-                 "unknown codec '" + name + "' (expected sz or zfp)");
-}
-
-const char* section_state_name(io::SectionState state) {
-  switch (state) {
-    case io::SectionState::kOk: return "ok";
-    case io::SectionState::kRepaired: return "repaired";
-    case io::SectionState::kDamaged: return "damaged";
+/// Runs the requested model (through the guard layer when asked) and
+/// fills the response's method and original size.
+io::Container encode_field(EncodeRequest& request, EncodeResponse& response) {
+  const core::Codecs codecs = core::make_codecs(request.codec);
+  response.method = request.method;
+  response.original_bytes = request.data.size() * sizeof(double);
+  const sim::Field field = sim::Field::from_data(
+      request.nx, request.ny, request.nz, std::move(request.data));
+  if (request.guard || request.error_bound) {
+    core::GuardOptions guard_options;
+    guard_options.method = request.method;
+    guard_options.error_bound = request.error_bound;
+    auto result = core::guarded_encode(field, codecs.pair(), guard_options);
+    response.method = result.provenance.actual;
+    return std::move(result.container);
   }
-  return "unknown";
+  return core::make_preconditioner(request.method)
+      ->encode(field, codecs.pair());
 }
 
 }  // namespace
@@ -187,15 +188,13 @@ void Server::start() {
   if (options_.output_dir) {
     std::filesystem::create_directories(*options_.output_dir);
     if (options_.recover_on_start) recover_store_on_start();
-    staging_reduced_ = compress::make_sz_original();
-    staging_delta_ = compress::make_sz_delta();
+    staging_codecs_ = core::make_codecs("sz");
     core::StagingOptions staging_options;
     staging_options.output_dir = options_.output_dir;
     staging_options.max_queue = options_.staging_queue;
     staging_options.serialize.with_parity = options_.with_parity;
-    staging_ = std::make_unique<core::StagingNode>(
-        core::CodecPair{staging_reduced_.get(), staging_delta_.get()},
-        staging_options);
+    staging_ = std::make_unique<core::StagingNode>(staging_codecs_.pair(),
+                                                   staging_options);
     if (options_.scrub_interval.count() > 0)
       scrub_thread_ = std::thread([this] { scrub_loop(); });
   }
@@ -319,9 +318,7 @@ void Server::recover_store_on_start() {
     response.stored = true;
     response.stored_bytes = replay.stored_bytes;
     response.stored_path = (*options_.output_dir / replay.sequence).string();
-    dedup_.insert(token, DedupWindow::CachedResponse{
-                             MsgType::kEncodeResult, Status::kOk,
-                             response.encode()});
+    remember_encode(token, response.encode());
   }
 
   {
@@ -784,194 +781,168 @@ void Server::handle_scrub(Job& job) {
 }
 
 void Server::handle_encode(Job& job) {
-  const std::uint64_t request_id = job.frame.header.request_id;
   EncodeRequest request = EncodeRequest::decode(job.frame.payload);
 
   // Idempotent retry: a token we already completed replays the cached
   // outcome -- the side effect (most importantly a sequence append)
   // happened exactly once.  For sequence stores the authoritative
-  // re-check runs under sequences_mutex_ below; this early check spares
-  // the whole encode pipeline for the common retry.
-  if (request.request_token != 0) {
-    if (auto cached = dedup_.lookup(request.request_token)) {
-      send_frame(job.session, cached->type, request_id, cached->payload,
-                 cached->status);
-      job_finished(true, job.bytes);
-      return;
-    }
-  }
-
-  const CodecSet codecs = make_codecs(request.codec);
-  const std::uint64_t original_bytes = request.data.size() * sizeof(double);
-  sim::Field field = sim::Field::from_data(request.nx, request.ny, request.nz,
-                                           std::move(request.data));
-
-  io::Container container;
-  std::string method_ran = request.method;
-  if (request.guard || request.error_bound) {
-    core::GuardOptions guard_options;
-    guard_options.method = request.method;
-    guard_options.error_bound = request.error_bound;
-    auto result = core::guarded_encode(field, codecs.pair(), guard_options);
-    container = std::move(result.container);
-    method_ran = result.provenance.actual;
-  } else {
-    const auto preconditioner = core::make_preconditioner(request.method);
-    container = preconditioner->encode(field, codecs.pair());
-  }
-
-  io::RetryPolicy retry;
-  retry.deadline = job.deadline;
+  // re-check runs under sequences_mutex_ in encode_to_sequence; this
+  // early check spares the whole encode pipeline for the common retry.
+  if (replay_encode(job, request.request_token)) return;
 
   EncodeResponse response;
-  response.method = method_ran;
-  response.original_bytes = original_bytes;
-
+  io::Container container = encode_field(request, response);
   switch (request.store) {
-    case StoreMode::kReturn: {
-      io::SerializeOptions serialize_options;
-      serialize_options.with_parity = options_.with_parity;
-      auto bytes = io::serialize(container, serialize_options);
-      response.stored_bytes = bytes.size();
-      response.container = std::move(bytes);
-      const auto payload = response.encode();
-      // In-memory-only dedup for stateless responses: re-execution after
-      // a restart is harmless (no server-side state), so these entries
-      // need no durable intent log (DESIGN.md §14 non-guarantees).
-      if (request.request_token != 0)
-        dedup_.insert(request.request_token,
-                      DedupWindow::CachedResponse{MsgType::kEncodeResult,
-                                                  Status::kOk, payload});
-      send_frame(job.session, MsgType::kEncodeResult, request_id, payload);
-      job_finished(true, job.bytes);
-      return;
-    }
-    case StoreMode::kFile: {
-      if (!staging_)
-        throw NetError(NetErrc::kMalformedPayload,
-                       "store requested but the server has no --output-dir");
-      validate_store_name(request.store_name);
-      response.stored = true;
-      core::StagingJob staging_job;
-      staging_job.container = std::move(container);
-      staging_job.name = request.store_name;
-      staging_job.retry = retry;
-      auto session = job.session;
-      const std::uint64_t job_bytes = job.bytes;
-      const std::uint64_t token = request.request_token;
-      staging_job.on_complete =
-          [this, session, request_id, job_bytes, token,
-           response = std::move(response)](
-              const core::StagingJobResult& result) mutable {
-            if (result.ok) {
-              response.stored_bytes = result.bytes_out;
-              response.stored_path = result.path.string();
-              const auto payload = response.encode();
-              // kFile stores are atomic re-publishes of a whole file --
-              // a re-executed retry overwrites with identical content,
-              // so the in-memory window is a fast path, not a
-              // correctness requirement (unlike sequence appends).
-              if (token != 0)
-                dedup_.insert(token, DedupWindow::CachedResponse{
-                                         MsgType::kEncodeResult, Status::kOk,
-                                         payload});
-              send_frame(session, MsgType::kEncodeResult, request_id,
-                         payload);
-              job_finished(true, job_bytes);
-              return;
-            }
-            Status status = Status::kInternalError;
-            switch (result.error_kind) {
-              case core::StagingErrorKind::kDeadlineExceeded:
-                status = Status::kDeadlineExceeded;
-                {
-                  std::lock_guard lock(stats_mutex_);
-                  ++stats_.deadline_missed;
-                }
-                obs::count("net.deadline_missed");
-                break;
-              case core::StagingErrorKind::kIoError:
-                status = Status::kIoError;
-                break;
-              case core::StagingErrorKind::kPrecondition:
-                status = Status::kPreconditionError;
-                break;
-              default:
-                break;
-            }
-            send_error(session, request_id, status, result.error);
-            job_finished(false, job_bytes);
-          };
-      // Blocking submit is safe here: only worker threads reach this, and
-      // the staging queue bound is the write-behind backpressure.
-      staging_->submit(std::move(staging_job));
-      return;  // completion rides the callback
-    }
-    case StoreMode::kSequence: {
-      if (!options_.output_dir)
-        throw NetError(NetErrc::kMalformedPayload,
-                       "store requested but the server has no --output-dir");
-      validate_store_name(request.store_name);
-      const std::uint64_t token = request.request_token;
-      std::size_t step = 0;
-      const std::filesystem::path destination =
-          *options_.output_dir / request.store_name;
-      std::vector<std::uint8_t> payload;
-      {
-        // Everything that makes a tokened append exactly-once runs under
-        // this lock: the window re-check (coalesces a concurrent
-        // duplicate), the fsync'd intent, the append, and the window
-        // insert.
-        std::lock_guard lock(sequences_mutex_);
-        if (token != 0) {
-          if (auto cached = dedup_.lookup(token)) {
-            send_frame(job.session, cached->type, request_id,
-                       cached->payload, cached->status);
-            job_finished(true, job.bytes);
-            return;
-          }
-        }
-        SequenceState& state = sequence_state(request.store_name);
-        state.writer->set_retry(retry);
-        if (token != 0) {
-          if (!state.log) {
-            state.log = std::make_unique<io::RequestLog>(io::RequestLog::open(
-                destination, state.fresh_journal, retry));
-            state.fresh_journal = false;
-          } else {
-            state.log->set_retry(retry);
-          }
-          // Intent BEFORE append: if we die between the two, recovery
-          // sees step == committed count and drops the intent (the retry
-          // re-executes); if we die after the append's commit fsync, it
-          // sees step < committed and replays.  Either way: exactly
-          // once.
-          state.log->record(token, state.writer->steps_written());
-        }
-        try {
-          step = state.writer->append(container);
-        } catch (...) {
-          // The append did not commit; withdraw the intent so the step
-          // index cannot be aliased by a later request's append.
-          if (token != 0 && state.log) state.log->rollback_last();
-          throw;
-        }
-        response.stored = true;
-        response.stored_bytes = container.payload_bytes();
-        response.stored_path = destination.string();
-        payload = response.encode();
-        if (token != 0)
-          dedup_.insert(token, DedupWindow::CachedResponse{
-                                   MsgType::kEncodeResult, Status::kOk,
-                                   payload});
-      }
-      send_frame(job.session, MsgType::kEncodeResult, request_id, payload);
-      obs::gauge_max("net.sequence_steps", step + 1);
-      job_finished(true, job.bytes);
-      return;
-    }
+    case StoreMode::kReturn:
+      return encode_inline(job, request.request_token, container,
+                           std::move(response));
+    case StoreMode::kFile:
+      return encode_to_file(job, request, std::move(container),
+                            std::move(response));
+    case StoreMode::kSequence:
+      return encode_to_sequence(job, request, container, std::move(response));
   }
   throw NetError(NetErrc::kMalformedPayload, "unknown store mode");
+}
+
+bool Server::replay_encode(Job& job, std::uint64_t token) {
+  if (token == 0) return false;
+  const auto cached = dedup_.lookup(token);
+  if (!cached) return false;
+  send_frame(job.session, cached->type, job.frame.header.request_id,
+             cached->payload, cached->status);
+  job_finished(true, job.bytes);
+  return true;
+}
+
+void Server::remember_encode(std::uint64_t token,
+                             const std::vector<std::uint8_t>& payload) {
+  if (token != 0)
+    dedup_.insert(token, DedupWindow::CachedResponse{MsgType::kEncodeResult,
+                                                     Status::kOk, payload});
+}
+
+void Server::encode_inline(Job& job, std::uint64_t token,
+                           const io::Container& container,
+                           EncodeResponse response) {
+  io::SerializeOptions serialize_options;
+  serialize_options.with_parity = options_.with_parity;
+  response.container = io::serialize(container, serialize_options);
+  response.stored_bytes = response.container.size();
+  const auto payload = response.encode();
+  // In-memory-only dedup for stateless responses: re-execution after a
+  // restart is harmless (no server-side state), so these entries need no
+  // durable intent log (DESIGN.md §14 non-guarantees).
+  remember_encode(token, payload);
+  send_frame(job.session, MsgType::kEncodeResult, job.frame.header.request_id,
+             payload);
+  job_finished(true, job.bytes);
+}
+
+void Server::encode_to_file(Job& job, const EncodeRequest& request,
+                            io::Container container, EncodeResponse response) {
+  store_path(options_.output_dir, request.store_name);  // validates only
+  response.stored = true;
+  core::StagingJob staging_job;
+  staging_job.container = std::move(container);
+  staging_job.name = request.store_name;
+  staging_job.retry.emplace().deadline = job.deadline;
+  staging_job.on_complete =
+      [this, session = job.session,
+       request_id = job.frame.header.request_id, job_bytes = job.bytes,
+       token = request.request_token, response = std::move(response)](
+          const core::StagingJobResult& result) mutable {
+        if (result.ok) {
+          response.stored_bytes = result.bytes_out;
+          response.stored_path = result.path.string();
+          const auto payload = response.encode();
+          // kFile stores are atomic re-publishes of a whole file -- a
+          // re-executed retry overwrites with identical content, so the
+          // in-memory window is a fast path, not a correctness
+          // requirement (unlike sequence appends).
+          remember_encode(token, payload);
+          send_frame(session, MsgType::kEncodeResult, request_id, payload);
+          job_finished(true, job_bytes);
+          return;
+        }
+        Status status = Status::kInternalError;
+        switch (result.error_kind) {
+          case core::StagingErrorKind::kDeadlineExceeded:
+            status = Status::kDeadlineExceeded;
+            {
+              std::lock_guard lock(stats_mutex_);
+              ++stats_.deadline_missed;
+            }
+            obs::count("net.deadline_missed");
+            break;
+          case core::StagingErrorKind::kIoError:
+            status = Status::kIoError;
+            break;
+          case core::StagingErrorKind::kPrecondition:
+            status = Status::kPreconditionError;
+            break;
+          default:
+            break;
+        }
+        send_error(session, request_id, status, result.error);
+        job_finished(false, job_bytes);
+      };
+  // Blocking submit is safe here: only worker threads reach this, and the
+  // staging queue bound is the write-behind backpressure.  Completion
+  // rides the callback.
+  staging_->submit(std::move(staging_job));
+}
+
+void Server::encode_to_sequence(Job& job, const EncodeRequest& request,
+                                const io::Container& container,
+                                EncodeResponse response) {
+  const std::filesystem::path destination =
+      store_path(options_.output_dir, request.store_name);
+  const std::uint64_t token = request.request_token;
+  io::RetryPolicy retry;
+  retry.deadline = job.deadline;
+  std::size_t step = 0;
+  std::vector<std::uint8_t> payload;
+  {
+    // Everything that makes a tokened append exactly-once runs under this
+    // lock: the window re-check (coalesces a concurrent duplicate), the
+    // fsync'd intent, the append, and the window insert.
+    std::lock_guard lock(sequences_mutex_);
+    if (replay_encode(job, token)) return;
+    SequenceState& state = sequence_state(request.store_name);
+    state.writer->set_retry(retry);
+    if (token != 0) {
+      if (!state.log) {
+        state.log = std::make_unique<io::RequestLog>(io::RequestLog::open(
+            destination, state.fresh_journal, retry));
+        state.fresh_journal = false;
+      } else {
+        state.log->set_retry(retry);
+      }
+      // Intent BEFORE append: if we die between the two, recovery sees
+      // step == committed count and drops the intent (the retry
+      // re-executes); if we die after the append's commit fsync, it sees
+      // step < committed and replays.  Either way: exactly once.
+      state.log->record(token, state.writer->steps_written());
+    }
+    try {
+      step = state.writer->append(container);
+    } catch (...) {
+      // The append did not commit; withdraw the intent so the step index
+      // cannot be aliased by a later request's append.
+      if (token != 0 && state.log) state.log->rollback_last();
+      throw;
+    }
+    response.stored = true;
+    response.stored_bytes = container.payload_bytes();
+    response.stored_path = destination.string();
+    payload = response.encode();
+    remember_encode(token, payload);
+  }
+  send_frame(job.session, MsgType::kEncodeResult, job.frame.header.request_id,
+             payload);
+  obs::gauge_max("net.sequence_steps", step + 1);
+  job_finished(true, job.bytes);
 }
 
 std::shared_ptr<StoreReadCache> Server::store_read_cache(
@@ -1004,78 +975,55 @@ std::shared_ptr<StoreReadCache> Server::store_read_cache(
 
 void Server::handle_decode(Job& job) {
   DecodeRequest request = DecodeRequest::decode(job.frame.payload);
-  const CodecSet codecs = make_codecs(request.codec);
-  DecodeResponse response;
+  const core::Codecs codecs = core::make_codecs(request.codec);
 
-  // Resolve the archive bytes: inline in the request, or a server-side
-  // store read (seekable, chunk-cached for sequence archives).
+  // Resolve the archive first: inline bytes, a whole plain-container
+  // store, or one step of a sequence store -- an exact read of which
+  // goes through the shared chunk cache (`chunk`).
+  core::ChunkPtr chunk;
   if (!request.store_name.empty()) {
-    if (!options_.output_dir)
-      throw NetError(NetErrc::kMalformedPayload,
-                     "store read requested but the server has no "
-                     "--output-dir");
-    validate_store_name(request.store_name);
     const std::filesystem::path path =
-        *options_.output_dir / request.store_name;
-    const auto cache = store_read_cache(request.store_name, path);
-    if (cache) {
+        store_path(options_.output_dir, request.store_name);
+    if (const auto cache = store_read_cache(request.store_name, path)) {
       if (request.step >= cache->reader.step_count())
         throw NetError(NetErrc::kMalformedPayload,
                        "store '" + request.store_name + "' has " +
                            std::to_string(cache->reader.step_count()) +
                            " steps; step " + std::to_string(request.step) +
                            " requested");
-      if (request.best_effort) {
-        const auto bytes =
-            cache->reader.read_step_bytes(
-                static_cast<std::size_t>(request.step));
-        auto result = core::reconstruct_best_effort(
-            std::span<const std::uint8_t>(bytes), codecs.pair());
-        response.nx = result.field.nx();
-        response.ny = result.field.ny();
-        response.nz = result.field.nz();
-        if (!result.exact) response.detail = result.detail;
-        response.data = std::move(result.field.storage());
-      } else {
-        const core::ChunkPtr chunk =
-            cache->fetcher.get(static_cast<std::size_t>(request.step));
-        sim::Field field = core::reconstruct(*chunk, codecs.pair());
-        response.nx = field.nx();
-        response.ny = field.ny();
-        response.nz = field.nz();
-        response.data = std::move(field.storage());
-      }
-      send_frame(job.session, MsgType::kDecodeResult,
-                 job.frame.header.request_id, response.encode());
-      return;
+      const auto step = static_cast<std::size_t>(request.step);
+      if (request.best_effort)
+        request.container = cache->reader.read_step_bytes(step);
+      else
+        chunk = cache->fetcher.get(step);
+    } else {
+      std::ifstream in(path, std::ios::binary);
+      if (!in)
+        throw NetError(NetErrc::kIoError,
+                       "store '" + request.store_name + "': cannot open " +
+                           path.string());
+      request.container.assign(std::istreambuf_iterator<char>(in),
+                               std::istreambuf_iterator<char>());
     }
-    // Plain container store: read the whole file and fall through to the
-    // inline-bytes decode below.
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-      throw NetError(NetErrc::kIoError,
-                     "store '" + request.store_name + "': cannot open " +
-                         path.string());
-    request.container.assign(std::istreambuf_iterator<char>(in),
-                             std::istreambuf_iterator<char>());
   }
 
+  DecodeResponse response;
+  sim::Field field;
   if (request.best_effort) {
     auto result = core::reconstruct_best_effort(
         std::span<const std::uint8_t>(request.container), codecs.pair());
-    response.nx = result.field.nx();
-    response.ny = result.field.ny();
-    response.nz = result.field.nz();
     if (!result.exact) response.detail = result.detail;
-    response.data = std::move(result.field.storage());
+    field = std::move(result.field);
+  } else if (chunk) {
+    field = core::reconstruct(*chunk, codecs.pair());
   } else {
-    const io::Container container = io::deserialize(request.container);
-    sim::Field field = core::reconstruct(container, codecs.pair());
-    response.nx = field.nx();
-    response.ny = field.ny();
-    response.nz = field.nz();
-    response.data = std::move(field.storage());
+    field = core::reconstruct(io::deserialize(request.container),
+                              codecs.pair());
   }
+  response.nx = field.nx();
+  response.ny = field.ny();
+  response.nz = field.nz();
+  response.data = std::move(field.storage());
   send_frame(job.session, MsgType::kDecodeResult, job.frame.header.request_id,
              response.encode());
 }
@@ -1094,7 +1042,7 @@ void Server::handle_verify(Job& job) {
     detail += ' ';
     detail += std::to_string(section.bytes);
     detail += ' ';
-    detail += section_state_name(section.state);
+    detail += io::to_string(section.state);
     detail += '\n';
   }
   response.detail = std::move(detail);
@@ -1110,31 +1058,14 @@ void Server::send_stats(const std::shared_ptr<Session>& session,
   StatsResponse response;
   {
     std::lock_guard lock(stats_mutex_);
-    response.accepted = stats_.accepted;
-    response.rejected_busy = stats_.rejected_busy;
-    response.rejected_shutdown = stats_.rejected_shutdown;
-    response.deadline_missed = stats_.deadline_missed;
-    response.completed = stats_.completed;
-    response.failed = stats_.failed;
-    response.sessions_active = stats_.sessions_active;
-    response.sessions_total = stats_.sessions_total;
-    response.protocol_errors = stats_.protocol_errors;
+#define RMP_STATS_COPY(name) response.name = stats_.name;
+#define RMP_STATS_SKIP(name)
+    RMP_STATS_FIELDS(RMP_STATS_COPY, RMP_STATS_SKIP)
+#undef RMP_STATS_COPY
+#undef RMP_STATS_SKIP
   }
   response.queue_depth = queue_.depth();
   response.queue_capacity = queue_.capacity();
-  {
-    std::lock_guard lock(stats_mutex_);
-    response.recovery_journals_resumed = stats_.recovery_journals_resumed;
-    response.recovery_steps_recovered = stats_.recovery_steps_recovered;
-    response.recovery_files_repaired = stats_.recovery_files_repaired;
-    response.recovery_files_quarantined = stats_.recovery_files_quarantined;
-    response.scrub_passes = stats_.scrub_passes;
-    response.scrub_sections_checked = stats_.scrub_sections_checked;
-    response.scrub_sections_repaired = stats_.scrub_sections_repaired;
-    response.scrub_quarantined = stats_.scrub_quarantined;
-    response.admission_bytes_rejected = stats_.admission_bytes_rejected;
-    response.stalled_sessions = stats_.stalled_sessions;
-  }
   const DedupWindow::Stats dedup = dedup_.stats();
   response.dedup_hits = dedup.hits;
   response.dedup_evictions = dedup.evictions;
@@ -1297,108 +1228,6 @@ int run_daemon(const ServerOptions& options,
   std::printf("rmpd: drained cleanly\n");
   std::fflush(stdout);
   return 0;
-}
-
-std::optional<std::string> parse_server_flags(
-    const std::vector<std::string>& args, ServerOptions& options,
-    std::optional<std::filesystem::path>& port_file,
-    std::vector<std::string>* unparsed) {
-  auto parse_u64 = [](const std::string& text,
-                      std::uint64_t& out) -> bool {
-    try {
-      std::size_t used = 0;
-      out = std::stoull(text, &used);
-      return used == text.size();
-    } catch (const std::exception&) {
-      return false;
-    }
-  };
-
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    std::string value;
-    // Accepts both "--flag=value" and "--flag value".
-    const auto match = [&](const char* name) -> int {
-      const std::string prefix = std::string(name) + "=";
-      if (arg.rfind(prefix, 0) == 0) {
-        value = arg.substr(prefix.size());
-        return 1;
-      }
-      if (arg == name) {
-        if (i + 1 >= args.size()) return -1;
-        value = args[++i];
-        return 1;
-      }
-      return 0;
-    };
-    const auto numeric = [&](const char* name,
-                             std::uint64_t max_value,
-                             std::uint64_t& out) -> std::optional<int> {
-      const int m = match(name);
-      if (m == 0) return std::nullopt;
-      if (m < 0) return -1;
-      std::uint64_t parsed = 0;
-      if (!parse_u64(value, parsed) || parsed > max_value) return -1;
-      out = parsed;
-      return 1;
-    };
-
-    std::uint64_t number = 0;
-    if (auto m = numeric("--port", 65535, number)) {
-      if (*m < 0) return "--port expects a number in [0, 65535]";
-      options.port = static_cast<std::uint16_t>(number);
-    } else if (match("--bind") == 1) {
-      options.bind_address = value;
-    } else if (match("--bind") == -1) {
-      return "--bind expects an address";
-    } else if (auto m2 = numeric("--queue", 1u << 20, number)) {
-      if (*m2 < 0) return "--queue expects a positive number";
-      options.queue_capacity = static_cast<std::size_t>(number);
-    } else if (auto m3 = numeric("--workers", 1024, number)) {
-      if (*m3 < 0) return "--workers expects a number in [0, 1024]";
-      options.workers = static_cast<std::size_t>(number);
-    } else if (auto m4 = numeric("--max-sessions", 1u << 20, number)) {
-      if (*m4 < 0) return "--max-sessions expects a positive number";
-      options.max_sessions = static_cast<std::size_t>(number);
-    } else if (match("--output-dir") == 1) {
-      options.output_dir = std::filesystem::path(value);
-    } else if (match("--output-dir") == -1) {
-      return "--output-dir expects a directory";
-    } else if (arg == "--no-parity") {
-      options.with_parity = false;
-    } else if (auto m5 = numeric("--staging-queue", 1u << 20, number)) {
-      if (*m5 < 0) return "--staging-queue expects a positive number";
-      options.staging_queue = static_cast<std::size_t>(number);
-    } else if (match("--port-file") == 1) {
-      port_file = std::filesystem::path(value);
-    } else if (match("--port-file") == -1) {
-      return "--port-file expects a path";
-    } else if (auto m6 = numeric("--debug-stall-ms", 600'000, number)) {
-      if (*m6 < 0) return "--debug-stall-ms expects milliseconds";
-      options.debug_stall = std::chrono::milliseconds(number);
-    } else if (auto m7 = numeric("--max-bytes",
-                                 std::uint64_t{1} << 40, number)) {
-      if (*m7 < 0) return "--max-bytes expects a byte count (0 = unlimited)";
-      options.max_inflight_bytes = number;
-    } else if (auto m8 = numeric("--read-timeout-ms", 86'400'000, number)) {
-      if (*m8 < 0) return "--read-timeout-ms expects milliseconds (0 = off)";
-      options.read_stall_timeout = std::chrono::milliseconds(number);
-    } else if (auto m9 = numeric("--dedup-window", 1u << 24, number)) {
-      if (*m9 < 0) return "--dedup-window expects an entry count";
-      options.dedup_window = static_cast<std::size_t>(number);
-    } else if (auto m10 = numeric("--scrub-interval-ms", 86'400'000, number)) {
-      if (*m10 < 0) return "--scrub-interval-ms expects milliseconds (0 = "
-                           "manual only)";
-      options.scrub_interval = std::chrono::milliseconds(number);
-    } else if (arg == "--no-recover") {
-      options.recover_on_start = false;
-    } else if (unparsed != nullptr) {
-      unparsed->push_back(arg);
-    } else {
-      return "unknown flag '" + arg + "'";
-    }
-  }
-  return std::nullopt;
 }
 
 }  // namespace rmp::net

@@ -53,13 +53,11 @@
 #include <thread>
 #include <vector>
 
+#include "core/preconditioner.hpp"
 #include "net/bounded_queue.hpp"
 #include "net/dedup_window.hpp"
 #include "net/protocol.hpp"
 
-namespace rmp::compress {
-class Compressor;
-}
 namespace rmp::core {
 class StagingNode;
 }
@@ -111,29 +109,16 @@ struct ServerOptions {
   bool recover_on_start = true;
 };
 
-/// Monotonic counters (authoritative, independent of RMP_OBS).
+/// Monotonic counters (authoritative, independent of RMP_OBS): the
+/// COUNTER rows of RMP_STATS_FIELDS, plus send_failures, which stays
+/// off the wire.
 struct ServerStats {
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected_busy = 0;
-  std::uint64_t rejected_shutdown = 0;
-  std::uint64_t deadline_missed = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t sessions_total = 0;
-  std::uint64_t sessions_active = 0;
-  std::uint64_t protocol_errors = 0;
+#define RMP_STATS_DECLARE(name) std::uint64_t name = 0;
+#define RMP_STATS_SKIP(name)
+  RMP_STATS_FIELDS(RMP_STATS_DECLARE, RMP_STATS_SKIP)
+#undef RMP_STATS_DECLARE
+#undef RMP_STATS_SKIP
   std::uint64_t send_failures = 0;
-  // Self-healing (DESIGN.md §14).
-  std::uint64_t recovery_journals_resumed = 0;
-  std::uint64_t recovery_steps_recovered = 0;
-  std::uint64_t recovery_files_repaired = 0;
-  std::uint64_t recovery_files_quarantined = 0;
-  std::uint64_t scrub_passes = 0;
-  std::uint64_t scrub_sections_checked = 0;
-  std::uint64_t scrub_sections_repaired = 0;
-  std::uint64_t scrub_quarantined = 0;
-  std::uint64_t admission_bytes_rejected = 0;
-  std::uint64_t stalled_sessions = 0;
 };
 
 class Server {
@@ -191,7 +176,22 @@ class Server {
   void scrub_loop();
   void handle_frame(const std::shared_ptr<Session>& session, Frame frame);
   void process_job(Job& job);
+  /// Encode steps: replay a completed token, or run the model and hand
+  /// the container to one store mode -- return it inline, stage it as a
+  /// file, or append it to a journaled sequence.  Each step owns the
+  /// job's completion.
   void handle_encode(Job& job);
+  bool replay_encode(Job& job, std::uint64_t token);
+  /// Caches a completed encode's response under `token` (when nonzero).
+  void remember_encode(std::uint64_t token,
+                       const std::vector<std::uint8_t>& payload);
+  void encode_inline(Job& job, std::uint64_t token,
+                     const io::Container& container, EncodeResponse response);
+  void encode_to_file(Job& job, const EncodeRequest& request,
+                      io::Container container, EncodeResponse response);
+  void encode_to_sequence(Job& job, const EncodeRequest& request,
+                          const io::Container& container,
+                          EncodeResponse response);
   void handle_decode(Job& job);
   void handle_verify(Job& job);
   void handle_scrub(Job& job);
@@ -251,8 +251,7 @@ class Server {
   std::mutex drain_call_mutex_;  ///< serializes drain() itself
 
   /// Codecs backing the staging node (CodecPair holds raw pointers).
-  std::unique_ptr<compress::Compressor> staging_reduced_;
-  std::unique_ptr<compress::Compressor> staging_delta_;
+  core::Codecs staging_codecs_;
   std::unique_ptr<core::StagingNode> staging_;
   std::mutex sequences_mutex_;
   /// Writer + request log per live sequence.  The dedup check, intent
@@ -290,17 +289,5 @@ class Server {
 /// process exit code (0 after a clean drain).
 int run_daemon(const ServerOptions& options,
                const std::optional<std::filesystem::path>& port_file = {});
-
-/// Parse shared daemon flags ("--port N", "--bind ADDR", "--queue N",
-/// "--workers N", "--max-sessions N", "--output-dir DIR", "--no-parity",
-/// "--staging-queue N", "--port-file PATH", "--max-bytes N",
-/// "--read-timeout-ms N", "--dedup-window N", "--scrub-interval-ms N",
-/// "--no-recover") from argv-style args.
-/// Returns an error message naming the offending flag, or std::nullopt on
-/// success.  Unrecognized flags are left for the caller in `unparsed`.
-std::optional<std::string> parse_server_flags(
-    const std::vector<std::string>& args, ServerOptions& options,
-    std::optional<std::filesystem::path>& port_file,
-    std::vector<std::string>* unparsed = nullptr);
 
 }  // namespace rmp::net

@@ -119,6 +119,9 @@ Registry::Impl& Registry::impl() const {
 
 Registry& Registry::global() {
   static Registry registry;
+  // Build the shared state now, so it outlives every static constructed
+  // after the first call (the thread pool's workers record into it).
+  registry.impl();
   return registry;
 }
 

@@ -24,6 +24,11 @@ constexpr std::size_t kChunksPerWorker = 4;
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t workers) {
+  // Workers record obs metrics after each task, possibly after the caller
+  // has returned.  Creating the registry first makes it outlive a static
+  // pool (statics die in reverse order), so exit cannot destroy it under
+  // a worker that is still recording.
+  obs::Registry::global();
   workers = std::max<std::size_t>(1, workers);
   workers_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {

@@ -268,13 +268,31 @@ TEST_F(CliTest, MalformedNumericFlagsAreTypedUsageErrors) {
         std::string("--dims abc"), std::string("--dims ''"),
         std::string("--dims 16,-2,16"), std::string("--dims 0,16,16"),
         std::string("--dims 16,16,16,16"), std::string("--dims 16,,16"),
-        std::string("--dims 16.5"), std::string("--dims 16x16x16")}) {
+        std::string("--dims 16.5"), std::string("--dims 16x16x16"),
+        std::string("--dims 16,16,16 --step -1"),
+        std::string("--dims 16,16,16 --retries 1001"),
+        std::string("--dims 16,16,16 --token 0")}) {
     const int status = run_rmpc(compress_prefix + bad);
-    EXPECT_NE(status, 0) << bad;
     // std::system reports abnormal termination (uncaught throw -> abort)
     // as a non-exited status; a typed usage error always exits cleanly.
-    EXPECT_TRUE(WIFEXITED(status)) << bad;
+    ASSERT_TRUE(WIFEXITED(status)) << bad;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << bad;
   }
+#ifdef RMPD_BINARY
+  // The daemon flags parse the same way under both front ends.
+  for (const std::string bad :
+       {std::string("--port=abc"), std::string("--port 70000"),
+        std::string("--workers"), std::string("--bogus")}) {
+    for (const std::string& command :
+         {std::string(RMPD_BINARY) + " " + bad,
+          std::string(RMPC_BINARY) + " serve " + bad}) {
+      const int status =
+          std::system((command + " > /dev/null 2>&1").c_str());
+      ASSERT_TRUE(WIFEXITED(status)) << command;
+      EXPECT_EQ(WEXITSTATUS(status), 2) << command;
+    }
+  }
+#endif
 }
 
 TEST_F(CliTest, EqualsFlagSyntaxWorks) {
@@ -284,6 +302,10 @@ TEST_F(CliTest, EqualsFlagSyntaxWorks) {
                      " --error-bound=0.5"),
             0);
   EXPECT_TRUE(fs::exists(archive));
+  // Zero is a legal step index and a legal retry budget.
+  EXPECT_EQ(run_rmpc("compress " + quoted(input_) + " " + quoted(archive) +
+                     " --dims 16,16,16 --step 0 --retries=0"),
+            0);
 }
 
 TEST_F(CliTest, StatsFlagEmitsValidJson) {

@@ -8,6 +8,7 @@
 
 #include "compress/factory.hpp"
 #include "core/pipeline.hpp"
+#include "core/serialize.hpp"
 
 namespace rmp::core {
 namespace {
@@ -83,6 +84,61 @@ TEST_P(DecodeErrors, CorruptedSectionBytesThrow) {
   }
 }
 
+// Stream-controlled shapes checked before use: a matrix header whose
+// rows * cols * 8 wraps to zero, a pca-part meta with no rows, and
+// blocked metas whose block count or grid disagrees with the container.
+TEST_P(DecodeErrors, HostileShapesThrowInsteadOfCrashing) {
+  Codecs codecs;
+  const auto preconditioner = make_preconditioner(GetParam());
+  const io::Container complete =
+      preconditioner->encode(field3d(), codecs.pair(), nullptr);
+  const std::uint64_t wrapped[2] = {std::uint64_t{1} << 32,
+                                    std::uint64_t{1} << 32};
+  const std::uint64_t no_rows[1] = {0};
+  const std::uint64_t no_blocks[3] = {0, 64, 8};
+  const std::uint64_t oversized[3] = {1, std::uint64_t{1} << 40,
+                                      std::uint64_t{1} << 20};
+
+  const auto expect_throw = [&](const std::string& section,
+                                std::span<const std::uint64_t> words,
+                                bool typed) {
+    io::Container mutated = complete;
+    for (auto& s : mutated.sections) {
+      if (s.name == section) s.bytes = u64s_to_bytes(words);
+    }
+    if (typed) {
+      EXPECT_THROW(preconditioner->decode(mutated, codecs.pair(), nullptr),
+                   io::ContainerError)
+          << section;
+    } else {
+      EXPECT_ANY_THROW(
+          preconditioner->decode(mutated, codecs.pair(), nullptr))
+          << section;
+    }
+  };
+  for (const auto& section : complete.sections) {
+    const std::string& name = section.name;
+    if (name == "v" || name == "u0" || name.rfind("basis", 0) == 0) {
+      expect_throw(name, wrapped, /*typed=*/false);
+    }
+  }
+  if (GetParam() == "pca-part") expect_throw("meta", no_rows, true);
+  if (GetParam().rfind("blocked-", 0) == 0) {
+    expect_throw("meta", no_blocks, true);
+    expect_throw("meta", oversized, true);
+    // A nested block header claiming a far larger block than the meta.
+    io::Container mutated = complete;
+    for (auto& s : mutated.sections) {
+      if (s.name != "block0") continue;
+      io::Container nested = io::deserialize(s.bytes);
+      nested.nx = std::uint64_t{1} << 40;
+      s.bytes = io::serialize(nested);
+    }
+    EXPECT_THROW(preconditioner->decode(mutated, codecs.pair(), nullptr),
+                 io::ContainerError);
+  }
+}
+
 TEST_P(DecodeErrors, RoundTripStillWorksAfterNegativeTests) {
   // Guard against the negative tests hiding a broken happy path.
   Codecs codecs;
@@ -97,7 +153,7 @@ INSTANTIATE_TEST_SUITE_P(AllMethods, DecodeErrors,
                          ::testing::Values("identity", "one-base",
                                            "multi-base", "duomodel", "pca",
                                            "svd", "wavelet", "pca-part",
-                                           "tucker"),
+                                           "tucker", "blocked-svd"),
                          [](const auto& info) {
                            std::string name = info.param;
                            for (char& c : name) {

@@ -280,6 +280,40 @@ TEST(NetProto, DecodeAndVerifyAndStatsRoundTrip) {
   EXPECT_EQ(stats_decoded.obs_json, stats.obs_json);
 }
 
+// Protocol v3 stats payload: 26 little-endian u64 counters in this exact
+// order, then the length-prefixed obs JSON.  Pinned field by field so a
+// reordered counter list cannot slip through the round-trip test above.
+TEST(NetProto, StatsResponseWireLayoutIsPinned) {
+  net::StatsResponse stats;
+  std::uint64_t* const counters[] = {
+      &stats.queue_depth, &stats.queue_capacity, &stats.accepted,
+      &stats.rejected_busy, &stats.rejected_shutdown, &stats.deadline_missed,
+      &stats.completed, &stats.failed, &stats.sessions_active,
+      &stats.sessions_total, &stats.protocol_errors,
+      &stats.recovery_journals_resumed, &stats.recovery_steps_recovered,
+      &stats.recovery_files_repaired, &stats.recovery_files_quarantined,
+      &stats.scrub_passes, &stats.scrub_sections_checked,
+      &stats.scrub_sections_repaired, &stats.scrub_quarantined,
+      &stats.dedup_hits, &stats.dedup_evictions, &stats.dedup_entries,
+      &stats.inflight_bytes, &stats.max_inflight_bytes,
+      &stats.admission_bytes_rejected, &stats.stalled_sessions};
+  for (std::size_t i = 0; i < std::size(counters); ++i) {
+    *counters[i] = 0x0100000000000000ull + i;
+  }
+  stats.obs_json = "{}";
+  const auto wire = stats.encode();
+  ASSERT_EQ(wire.size(), std::size(counters) * 8 + 4 + 2);
+  for (std::size_t i = 0; i < std::size(counters); ++i) {
+    for (std::size_t byte = 0; byte < 8; ++byte) {
+      const std::uint64_t expected =
+          ((0x0100000000000000ull + i) >> (8 * byte)) & 0xff;
+      EXPECT_EQ(wire[8 * i + byte], expected) << "counter " << i;
+    }
+  }
+  EXPECT_EQ(wire[std::size(counters) * 8], 2u);  // obs_json length
+  EXPECT_EQ(wire.back(), '}');
+}
+
 TEST(NetProto, EncodeResponseRoundTripsBothShapes) {
   net::EncodeResponse inline_response;
   inline_response.method = "pca";

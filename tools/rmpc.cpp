@@ -2,44 +2,15 @@
 // pipeline.  Operates on raw little-endian float64 arrays, the common
 // interchange format for scientific data dumps.
 //
-//   rmpc compress   <in.f64> <out.rmp> --dims NX[,NY[,NZ]]
-//                   [--method identity|raw|one-base|multi-base|duomodel|pca|
-//                             svd|wavelet|pca-part|tucker|auto|a>b]
-//                   [--codec sz|zfp] [--no-parity]
-//                   [--guard] [--verify-bound EPS]
-//   rmpc decompress <in.rmp> <out.f64> [--codec sz|zfp] [--best-effort]
-//                   [--step K]   (sequence archives; omitting --step decodes
-//                                 every step in parallel and concatenates)
-//   rmpc info       <in.rmp>
-//   rmpc predict    <in.f64> --dims NX[,NY[,NZ]]
-//   rmpc stats      <in.f64> --dims NX[,NY[,NZ]]
-//   rmpc verify     <in.f64> --dims NX[,NY[,NZ]] [--method NAME]
-//                   [--codec sz|zfp]
-//   rmpc verify     <in.rmp>
-//   rmpc repair     <in.rmp> <out.rmp>
-//   rmpc sequence   <in1.f64> [<in2.f64> ...] <out.rmps> --dims NX[,NY[,NZ]]
-//                   [--method NAME] [--codec sz|zfp] [--no-parity] [--seekable]
-//   rmpc resume     <in1.f64> [<in2.f64> ...] <out.rmps> --dims NX[,NY[,NZ]]
-//                   [--method NAME] [--codec sz|zfp] [--no-parity] [--seekable]
-//   rmpc bench-gate <baseline.json> <candidate.json> [--threshold PCT]
-//   rmpc serve      [--port N] [--bind ADDR] [--queue N] [--workers N]
-//                   [--max-sessions N] [--output-dir DIR] [--no-parity]
-//                   [--staging-queue N] [--port-file PATH]
-//   rmpc client     ping|stats --port N [--host H] [--deadline-ms N]
-//   rmpc client     encode <in.f64> [<out.rmp>] --dims NX[,NY[,NZ]] --port N
-//                   [--method NAME] [--codec sz|zfp] [--guard]
-//                   [--error-bound EPS] [--store NAME | --sequence NAME]
-//                   [--deadline-ms N]
-//   rmpc client     decode <in.rmp> <out.f64> --port N [--codec sz|zfp]
-//                   [--best-effort]
-//   rmpc client     decode <out.f64> --store NAME [--step K] --port N
-//                   [--codec sz|zfp] [--best-effort]
-//   rmpc client     verify <in.rmp> --port N
+// Run `rmpc` without arguments for the synopsis of every command; it is
+// generated from the flag table below (tools/flags.hpp holds the parser
+// and the daemon flags `rmpc serve` shares with rmpd).
 //
 // Exit codes (shared with rmpd, locked down in tests/test_cli.cpp):
 //   0 success        1 internal error   2 usage error       3 I/O error
 //   4 integrity      5 model failure    6 deadline exceeded
 //   7 busy/unavailable                  8 protocol error
+//   9 server shutting down
 //
 // `sequence` compresses each input field as one step of a journaled
 // multi-step archive (crash-durable: every completed step is fsync'd
@@ -68,13 +39,10 @@
 // (checksums + parity), prints guard provenance when present, and exits
 // non-zero when sections are unrecoverable.  `repair` rewrites a
 // damaged-but-recoverable archive as a clean v3 file with parity.
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <limits>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -82,6 +50,7 @@
 #include <vector>
 
 #include "exit_codes.hpp"
+#include "flags.hpp"
 #include "net/client.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
@@ -102,173 +71,32 @@ namespace {
 
 using namespace rmp;
 
-[[noreturn]] void usage_and_exit() {
-  std::fprintf(stderr,
-               "usage:\n"
-               "  rmpc compress   <in.f64> <out.rmp> --dims NX[,NY[,NZ]] "
-               "[--method NAME|auto] [--codec sz|zfp] [--no-parity] "
-               "[--guard] [--verify-bound EPS] [--error-bound EPS]\n"
-               "  rmpc decompress <in.rmp> <out.f64> [--codec sz|zfp] "
-               "[--best-effort] [--step K]\n"
-               "  rmpc info       <in.rmp>\n"
-               "  rmpc predict    <in.f64> --dims NX[,NY[,NZ]]\n"
-               "  rmpc stats      <in.f64> --dims NX[,NY[,NZ]]\n"
-               "  rmpc stats      <report.json>   (schema validation)\n"
-               "  rmpc verify     <in.f64> --dims NX[,NY[,NZ]] "
-               "[--method NAME] [--codec sz|zfp]\n"
-               "  rmpc verify     <in.rmp>\n"
-               "  rmpc repair     <in.rmp> <out.rmp>\n"
-               "  rmpc sequence   <in1.f64> [<in2.f64> ...] <out.rmps> "
-               "--dims NX[,NY[,NZ]] [--method NAME] [--codec sz|zfp] "
-               "[--no-parity] [--seekable]\n"
-               "  rmpc resume     <in1.f64> [<in2.f64> ...] <out.rmps> "
-               "--dims NX[,NY[,NZ]] [--method NAME] [--codec sz|zfp] "
-               "[--no-parity] [--seekable]\n"
-               "  rmpc bench-gate <baseline.json> <candidate.json> "
-               "[--threshold PCT] [--codec NAME] [--min-speedup X]\n"
-               "  rmpc serve      [--port N] [--bind ADDR] [--queue N] "
-               "[--workers N] [--max-sessions N] [--output-dir DIR] "
-               "[--no-parity] [--staging-queue N] [--port-file PATH]\n"
-               "  rmpc client     ping|stats|scrub|encode|decode|verify ... "
-               "--port N [--host H] [--deadline-ms N]\n"
-               "                  [--retries N] [--retry-backoff-ms N] "
-               "[--token T]\n"
-               "\n"
-               "  --stats[=FILE]  dump observability counters/spans as JSON\n"
-               "                  (stdout, or FILE when given)\n"
-               "  --retries N     retry BUSY / lost-connection failures up "
-               "to N times\n"
-               "                  (reconnecting; encodes get an idempotency "
-               "token)\n"
-               "  --token T       explicit nonzero request token for encode\n"
-               "\n"
-               "exit codes: 0 ok, 1 internal, 2 usage, 3 I/O, 4 integrity,\n"
-               "            5 model, 6 deadline, 7 busy/unavailable, "
-               "8 protocol,\n"
-               "            9 server shutting down\n");
-  std::exit(tools::kExitUsage);
-}
-
-/// Typed usage error for a malformed flag value: names the flag, echoes
-/// the offending value, and exits with the usage status -- malformed
-/// numeric input must never surface as an uncaught exception.
-[[noreturn]] void flag_error(const std::string& flag, const std::string& value,
-                             const char* expected) {
-  std::fprintf(stderr, "rmpc: invalid value for %s: \"%s\" (expected %s)\n",
-               flag.c_str(), value.c_str(), expected);
-  std::exit(tools::kExitUsage);
-}
-
-/// Strict non-negative double: the whole string must parse and the result
-/// must be finite and >= 0.
-double parse_double_flag(const std::string& flag, const std::string& value,
-                         const char* expected) {
-  if (value.empty()) flag_error(flag, value, expected);
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0' || errno == ERANGE ||
-      !(parsed >= 0.0) || parsed > std::numeric_limits<double>::max()) {
-    flag_error(flag, value, expected);
-  }
-  return parsed;
-}
-
-/// Strict positive integer component (no sign, no trailing garbage).
-std::size_t parse_size_component(const std::string& flag,
-                                 const std::string& whole,
-                                 const std::string& component,
-                                 const char* expected) {
-  if (component.empty() || component[0] == '-' || component[0] == '+') {
-    flag_error(flag, whole, expected);
-  }
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(component.c_str(), &end, 10);
-  if (end == component.c_str() || *end != '\0' || errno == ERANGE ||
-      parsed == 0) {
-    flag_error(flag, whole, expected);
-  }
-  return static_cast<std::size_t>(parsed);
-}
-
-struct ParsedDims {
-  std::size_t nx = 0, ny = 1, nz = 1;
-};
-
-/// "NX[,NY[,NZ]]" with every component a positive integer; anything else
-/// (empty, negative, non-numeric, a fourth component) is a typed usage
-/// error naming --dims.
-ParsedDims parse_dims(const std::string& value) {
-  constexpr const char* kExpected = "NX[,NY[,NZ]] with positive integers";
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t comma = value.find(',', start);
-    parts.push_back(value.substr(start, comma - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  if (parts.empty() || parts.size() > 3) {
-    flag_error("--dims", value, kExpected);
-  }
-  ParsedDims dims;
-  dims.nx = parse_size_component("--dims", value, parts[0], kExpected);
-  if (parts.size() > 1) {
-    dims.ny = parse_size_component("--dims", value, parts[1], kExpected);
-  }
-  if (parts.size() > 2) {
-    dims.nz = parse_size_component("--dims", value, parts[2], kExpected);
-  }
-  return dims;
-}
-
-std::vector<double> read_doubles(const std::string& path) {
+/// The whole file as an array of T; exits with the I/O status when it
+/// cannot be read or does not hold a whole number of elements.
+template <typename T>
+std::vector<T> read_file(const std::string& path) {
   std::ifstream file(path, std::ios::binary | std::ios::ate);
   if (!file) {
     std::fprintf(stderr, "rmpc: cannot open %s\n", path.c_str());
     std::exit(tools::kExitIo);
   }
   const auto bytes = static_cast<std::size_t>(file.tellg());
-  if (bytes % sizeof(double) != 0) {
+  if (bytes % sizeof(T) != 0) {
     std::fprintf(stderr, "rmpc: %s is not a float64 array\n", path.c_str());
     std::exit(tools::kExitIo);
   }
-  std::vector<double> data(bytes / sizeof(double));
+  std::vector<T> data(bytes / sizeof(T));
   file.seekg(0);
   file.read(reinterpret_cast<char*>(data.data()),
             static_cast<std::streamsize>(bytes));
   return data;
 }
 
-void write_doubles(const std::string& path, const std::vector<double>& data) {
+template <typename T>
+void write_file(const std::string& path, std::span<const T> data) {
   std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) {
-    std::fprintf(stderr, "rmpc: cannot write %s\n", path.c_str());
-    std::exit(tools::kExitIo);
-  }
   file.write(reinterpret_cast<const char*>(data.data()),
-             static_cast<std::streamsize>(data.size() * sizeof(double)));
-}
-
-std::vector<std::uint8_t> read_bytes(const std::string& path) {
-  std::ifstream file(path, std::ios::binary | std::ios::ate);
-  if (!file) {
-    std::fprintf(stderr, "rmpc: cannot open %s\n", path.c_str());
-    std::exit(tools::kExitIo);
-  }
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(file.tellg()));
-  file.seekg(0);
-  file.read(reinterpret_cast<char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  return bytes;
-}
-
-void write_bytes(const std::string& path,
-                 const std::vector<std::uint8_t>& bytes) {
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  file.write(reinterpret_cast<const char*>(bytes.data()),
-             static_cast<std::streamsize>(bytes.size()));
+             static_cast<std::streamsize>(data.size_bytes()));
   if (!file) {
     std::fprintf(stderr, "rmpc: cannot write %s\n", path.c_str());
     std::exit(tools::kExitIo);
@@ -277,7 +105,7 @@ void write_bytes(const std::string& path,
 
 struct Args {
   std::vector<std::string> positional;
-  std::optional<ParsedDims> dims;
+  std::optional<tools::Dims> dims;
   std::string method = "pca";
   std::string codec = "sz";
   bool no_parity = false;
@@ -304,137 +132,124 @@ struct Args {
   std::uint64_t request_token = 0;      ///< --token T: idempotency token
 };
 
-Args parse_args(int argc, char** argv) {
-  Args args;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    // Both "--flag value" and "--flag=value" spellings are accepted.
-    std::optional<std::string> inline_value;
-    if (arg.rfind("--", 0) == 0) {
-      const std::size_t eq = arg.find('=');
-      if (eq != std::string::npos) {
-        inline_value = arg.substr(eq + 1);
-        arg = arg.substr(0, eq);
-      }
-    }
-    auto next = [&]() -> std::string {
-      if (inline_value) return *inline_value;
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "rmpc: %s needs a value\n", arg.c_str());
-        usage_and_exit();
-      }
-      return argv[++i];
-    };
-    auto no_value = [&]() {
-      if (inline_value) {
-        std::fprintf(stderr, "rmpc: %s does not take a value\n", arg.c_str());
-        usage_and_exit();
-      }
-    };
-    if (arg == "--dims") {
-      args.dims = parse_dims(next());
-    } else if (arg == "--method") {
-      args.method = next();
-    } else if (arg == "--codec") {
-      args.codec = next();
-      args.codec_given = true;
-    } else if (arg == "--min-speedup") {
-      const double factor = parse_double_flag(
-          arg, next(), "a positive speedup factor");
-      args.min_speedup = factor;
-    } else if (arg == "--no-parity") {
-      no_value();
-      args.no_parity = true;
-    } else if (arg == "--best-effort") {
-      no_value();
-      args.best_effort = true;
-    } else if (arg == "--seekable") {
-      no_value();
-      args.seekable = true;
-    } else if (arg == "--step") {
-      // Step indices start at 0, unlike the size-shaped flags that share
-      // parse_size_component (which rejects zero).
-      const std::string value = next();
-      if (value.empty() || value[0] == '-' || value[0] == '+') {
-        flag_error("--step", value, "a non-negative step index");
-      }
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long parsed =
-          std::strtoull(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0' || errno == ERANGE) {
-        flag_error("--step", value, "a non-negative step index");
-      }
-      args.step = parsed;
-    } else if (arg == "--threshold") {
-      const double pct = parse_double_flag(
-          arg, next(), "a non-negative regression percentage");
-      args.threshold = pct;
-    } else if (arg == "--guard") {
-      no_value();
-      args.guard = true;
-    } else if (arg == "--verify-bound" || arg == "--error-bound") {
-      args.verify_bound = parse_double_flag(
-          arg, next(), "a non-negative finite error bound");
-      args.guard = true;
-    } else if (arg == "--stats") {
-      args.emit_stats = true;
-      if (inline_value) args.stats_path = *inline_value;
-    } else if (arg == "--host") {
-      args.host = next();
-    } else if (arg == "--port") {
-      const std::string value = next();
-      const std::size_t port = parse_size_component(
-          "--port", value, value, "a port number in [1, 65535]");
-      if (port > 65535) {
-        flag_error("--port", value, "a port number in [1, 65535]");
-      }
-      args.port = static_cast<std::uint16_t>(port);
-    } else if (arg == "--deadline-ms") {
-      const std::string value = next();
-      args.deadline_ms = parse_size_component(
-          "--deadline-ms", value, value, "a positive millisecond budget");
-    } else if (arg == "--store") {
-      args.store_name = next();
-    } else if (arg == "--sequence") {
-      args.sequence_name = next();
-    } else if (arg == "--retries") {
-      // Zero is a legal spelling of "no retries", so parse it directly
-      // instead of through parse_size_component (which rejects 0).
-      const std::string value = next();
-      if (value.empty() || value[0] == '-' || value[0] == '+') {
-        flag_error("--retries", value, "a non-negative retry count");
-      }
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long parsed =
-          std::strtoull(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0' || errno == ERANGE ||
-          parsed > 1000) {
-        flag_error("--retries", value, "a retry count in [0, 1000]");
-      }
-      args.retries = parsed;
-    } else if (arg == "--retry-backoff-ms") {
-      const std::string value = next();
-      args.retry_backoff_ms = parse_size_component(
-          "--retry-backoff-ms", value, value,
-          "a positive millisecond backoff base");
-    } else if (arg == "--token") {
-      const std::string value = next();
-      args.request_token = parse_size_component(
-          "--token", value, value, "a nonzero request token");
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "rmpc: unknown flag %s\n", arg.c_str());
-      usage_and_exit();
-    } else {
-      args.positional.push_back(arg);
-    }
-  }
-  return args;
+/// Every rmpc flag; each command reads the ones it needs.
+std::vector<tools::Flag> rmpc_flags(Args& args) {
+  using tools::Flag;
+  using tools::store;
+  const Flag::Real bound = [&args](double eps) {
+    args.verify_bound = eps;
+    args.guard = true;
+  };
+  return {
+      {"--dims", "NX[,NY[,NZ]]", Flag::Shape(store(args.dims))},
+      {"--method", "NAME", Flag::Text(store(args.method))},
+      {"--codec", "sz|zfp", Flag::Text([&args](std::string codec) {
+         args.codec = std::move(codec);
+         args.codec_given = true;
+       })},
+      {"--no-parity", "", Flag::Switch([&args] { args.no_parity = true; })},
+      {"--best-effort", "", Flag::Switch([&args] { args.best_effort = true; })},
+      {"--seekable", "", Flag::Switch([&args] { args.seekable = true; })},
+      {"--step", "K", Flag::Unsigned(store(args.step))},
+      {"--guard", "", Flag::Switch([&args] { args.guard = true; })},
+      {"--verify-bound", "EPS", bound},
+      {"--error-bound", "EPS", bound},
+      {"--threshold", "PCT", Flag::Real(store(args.threshold))},
+      {"--min-speedup", "X", Flag::Real(store(args.min_speedup))},
+      {"--stats", "FILE",
+       Flag::OptionalValue([&args](std::optional<std::string> path) {
+         args.emit_stats = true;
+         if (path) args.stats_path = *path;
+       })},
+      {"--host", "H", Flag::Text(store(args.host))},
+      {"--port", "N", Flag::Unsigned(store(args.port)), 1, 65535},
+      {"--deadline-ms", "N", Flag::Unsigned(store(args.deadline_ms)), 1},
+      {"--store", "NAME", Flag::Text(store(args.store_name))},
+      {"--sequence", "NAME", Flag::Text(store(args.sequence_name))},
+      {"--retries", "N", Flag::Unsigned(store(args.retries)), 0, 1000},
+      {"--retry-backoff-ms", "N",
+       Flag::Unsigned(store(args.retry_backoff_ms)), 1},
+      {"--token", "T", Flag::Unsigned(store(args.request_token)), 1},
+  };
 }
 
-sim::Field field_from_file(const std::string& path, const ParsedDims& dims) {
-  auto data = read_doubles(path);
+/// One usage line: the command, its operands (required flags included)
+/// and the optional flags it reads, space-separated.
+struct Synopsis {
+  std::string_view command, operands, flags;
+};
+
+constexpr Synopsis kSynopses[] = {
+    {"compress", "<in.f64> <out.rmp> --dims NX[,NY[,NZ]]",
+     "--method --codec --no-parity --seekable --guard --verify-bound "
+     "--error-bound"},
+    {"decompress", "<in.rmp> <out.f64>", "--codec --best-effort --step"},
+    {"info", "<in.rmp>", ""},
+    {"predict", "<in.f64> --dims NX[,NY[,NZ]]", ""},
+    {"stats", "<in.f64> --dims NX[,NY[,NZ]]", ""},
+    {"stats", "<report.json>   (schema validation)", ""},
+    {"verify", "<in.f64> --dims NX[,NY[,NZ]]", "--method --codec"},
+    {"verify", "<in.rmp>", ""},
+    {"repair", "<in.rmp> <out.rmp>", "--no-parity"},
+    {"sequence", "<in1.f64> [<in2.f64> ...] <out.rmps> --dims NX[,NY[,NZ]]",
+     "--method --codec --no-parity --seekable"},
+    {"resume", "<in1.f64> [<in2.f64> ...] <out.rmps> --dims NX[,NY[,NZ]]",
+     "--method --codec --no-parity --seekable"},
+    {"bench-gate", "<baseline.json> <candidate.json>",
+     "--threshold --codec --min-speedup"},
+    {"serve", "", ""},  // every daemon flag, as rmpd
+    {"client", "ping|stats|scrub --port N", ""},
+    {"client", "encode <in.f64> [<out.rmp>] --dims NX[,NY[,NZ]] --port N",
+     "--method --codec --guard --error-bound --store --sequence --token"},
+    {"client", "decode <in.rmp> <out.f64> --port N", "--codec --best-effort"},
+    {"client", "decode <out.f64> --store NAME --port N",
+     "--step --codec --best-effort"},
+    {"client", "verify <in.rmp> --port N", ""},
+};
+
+[[noreturn]] void usage_and_exit() {
+  Args unused;
+  const auto flags = rmpc_flags(unused);
+  net::ServerOptions server_options;
+  std::optional<std::filesystem::path> port_file;
+  const auto daemon_flags = tools::server_flags(server_options, port_file);
+  std::string text = "usage:\n";
+  for (const Synopsis& synopsis : kSynopses) {
+    text += "  rmpc " + std::string(synopsis.command);
+    text.append(10 - synopsis.command.size(), ' ');
+    if (!synopsis.operands.empty())
+      text += " " + std::string(synopsis.operands);
+    if (synopsis.command == "serve") {
+      for (const auto& flag : daemon_flags) tools::append_usage(text, flag, 18);
+    }
+    for (std::string_view names = synopsis.flags; !names.empty();) {
+      const std::string_view name = names.substr(0, names.find(' '));
+      tools::append_usage(text, *tools::find_flag(flags, name), 18);
+      names.remove_prefix(std::min(name.size() + 1, names.size()));
+    }
+    text += '\n';
+  }
+  text +=
+      "\n"
+      "  client actions also take [--host H] [--deadline-ms N] [--retries N]\n"
+      "  [--retry-backoff-ms N]; retried encodes get an idempotency token\n"
+      "  unless --token T names one.  --stats[=FILE] after any command dumps\n"
+      "  the observability counters and spans as JSON (stdout, or FILE).\n"
+      "\n"
+      "exit codes: 0 ok, 1 internal, 2 usage, 3 I/O, 4 integrity,\n"
+      "            5 model, 6 deadline, 7 busy/unavailable, 8 protocol,\n"
+      "            9 server shutting down\n";
+  std::fputs(text.c_str(), stderr);
+  std::exit(tools::kExitUsage);
+}
+
+[[noreturn]] void usage_error(const std::string& message) {
+  std::fprintf(stderr, "rmpc: %s\n", message.c_str());
+  usage_and_exit();
+}
+
+sim::Field field_from_file(const std::string& path, const tools::Dims& dims) {
+  auto data = read_file<double>(path);
   if (data.size() != dims.nx * dims.ny * dims.nz) {
     std::fprintf(stderr,
                  "rmpc: %s holds %zu doubles but --dims says %zux%zux%zu\n",
@@ -444,27 +259,11 @@ sim::Field field_from_file(const std::string& path, const ParsedDims& dims) {
   return sim::Field::from_data(dims.nx, dims.ny, dims.nz, std::move(data));
 }
 
-struct Codecs {
-  std::unique_ptr<compress::Compressor> reduced;
-  std::unique_ptr<compress::Compressor> delta;
-};
-
-Codecs make_codecs(const std::string& name) {
-  if (name == "sz") {
-    return {compress::make_sz_original(), compress::make_sz_delta()};
-  }
-  if (name == "zfp") {
-    return {compress::make_zfp_original(), compress::make_zfp_delta()};
-  }
-  std::fprintf(stderr, "rmpc: unknown codec %s (want sz|zfp)\n", name.c_str());
-  std::exit(tools::kExitUsage);
-}
-
 int cmd_compress(const Args& args) {
   if (args.positional.size() != 2 || !args.dims) usage_and_exit();
   const sim::Field field = field_from_file(args.positional[0], *args.dims);
-  const Codecs codecs = make_codecs(args.codec);
-  const core::CodecPair pair{codecs.reduced.get(), codecs.delta.get()};
+  const core::Codecs codecs = core::make_codecs(args.codec);
+  const core::CodecPair pair = codecs.pair();
 
   std::string method = args.method;
   if (method == "auto") {
@@ -513,8 +312,8 @@ int cmd_compress(const Args& args) {
 /// the chunk fetcher and the fields are concatenated into the output.
 int cmd_decompress_sequence(const Args& args,
                             const io::SequenceReader& reader) {
-  const Codecs codecs = make_codecs(args.codec);
-  const core::CodecPair pair{codecs.reduced.get(), codecs.delta.get()};
+  const core::Codecs codecs = core::make_codecs(args.codec);
+  const core::CodecPair pair = codecs.pair();
   const std::string& out = args.positional[1];
 
   if (args.step) {
@@ -530,8 +329,7 @@ int cmd_decompress_sequence(const Args& args,
       const auto bytes = reader.read_step_bytes(step);
       const auto result = core::reconstruct_best_effort(
           std::span<const std::uint8_t>(bytes), pair);
-      write_doubles(out, {result.field.flat().begin(),
-                          result.field.flat().end()});
+      write_file<double>(out, result.field.flat());
       std::printf("%s: step %zu, %zux%zux%zu doubles (%s)\n", out.c_str(),
                   step, result.field.nx(), result.field.ny(),
                   result.field.nz(), result.detail.c_str());
@@ -539,7 +337,7 @@ int cmd_decompress_sequence(const Args& args,
     }
     const io::Container container = reader.read_step(step);
     const sim::Field field = core::reconstruct(container, pair);
-    write_doubles(out, {field.flat().begin(), field.flat().end()});
+    write_file<double>(out, field.flat());
     std::printf("%s: step %zu of %zu, %zux%zux%zu doubles via %s\n",
                 out.c_str(), step, reader.step_count(), field.nx(),
                 field.ny(), field.nz(), container.method.c_str());
@@ -557,7 +355,7 @@ int cmd_decompress_sequence(const Args& args,
     if (step == 0) all.reserve(field.flat().size() * chunks.size());
     all.insert(all.end(), field.flat().begin(), field.flat().end());
   }
-  write_doubles(out, all);
+  write_file<double>(out, all);
   std::printf("%s: %zu step(s), %zu doubles total\n", out.c_str(),
               chunks.size(), all.size());
   return 0;
@@ -611,16 +409,15 @@ int cmd_decompress(const Args& args) {
                  "rmpc: --step only applies to sequence archives\n");
     usage_and_exit();
   }
-  const Codecs codecs = make_codecs(args.codec);
-  const core::CodecPair pair{codecs.reduced.get(), codecs.delta.get()};
+  const core::Codecs codecs = core::make_codecs(args.codec);
+  const core::CodecPair pair = codecs.pair();
 
   if (args.best_effort) {
     io::ReadReport report;
     const auto container =
         io::read_container_salvage(args.positional[0], &report);
     const auto result = core::reconstruct_best_effort(container, report, pair);
-    write_doubles(args.positional[1],
-                  {result.field.flat().begin(), result.field.flat().end()});
+    write_file<double>(args.positional[1], result.field.flat());
     std::printf("%s: %zux%zux%zu doubles via %s (%s)\n",
                 args.positional[1].c_str(), result.field.nx(),
                 result.field.ny(), result.field.nz(),
@@ -630,8 +427,7 @@ int cmd_decompress(const Args& args) {
 
   const auto container = io::read_container(args.positional[0]);
   const sim::Field field = core::reconstruct(container, pair);
-  write_doubles(args.positional[1],
-                {field.flat().begin(), field.flat().end()});
+  write_file<double>(args.positional[1], field.flat());
   std::printf("%s: %zux%zux%zu doubles via %s\n", args.positional[1].c_str(),
               field.nx(), field.ny(), field.nz(),
               container.method.c_str());
@@ -702,18 +498,6 @@ int cmd_stats(const Args& args) {
   return 0;
 }
 
-const char* section_state_name(io::SectionState state) {
-  switch (state) {
-    case io::SectionState::kOk:
-      return "ok";
-    case io::SectionState::kRepaired:
-      return "repaired";
-    case io::SectionState::kDamaged:
-      return "DAMAGED";
-  }
-  return "?";
-}
-
 /// Archive-integrity verify (`rmpc verify <in.rmp>`, no --dims): checks
 /// every checksum, attempts parity repair, and reports per-section state.
 int cmd_verify_archive(const Args& args) {
@@ -733,7 +517,7 @@ int cmd_verify_archive(const Args& args) {
   for (const auto& section : report.sections) {
     std::printf("  %-12s %10llu bytes  %s\n", section.name.c_str(),
                 static_cast<unsigned long long>(section.bytes),
-                section_state_name(section.state));
+                io::to_string(section.state));
   }
   if (const auto provenance = core::read_provenance(container)) {
     std::fputs(core::format_provenance(*provenance).c_str(), stdout);
@@ -752,8 +536,8 @@ int cmd_verify(const Args& args) {
   if (args.positional.size() != 1) usage_and_exit();
   if (!args.dims) return cmd_verify_archive(args);
   const sim::Field field = field_from_file(args.positional[0], *args.dims);
-  const Codecs codecs = make_codecs(args.codec);
-  const core::CodecPair pair{codecs.reduced.get(), codecs.delta.get()};
+  const core::Codecs codecs = core::make_codecs(args.codec);
+  const core::CodecPair pair = codecs.pair();
   const auto preconditioner = core::make_preconditioner(args.method);
   const auto report = core::assess_quality(*preconditioner, field, pair);
   std::fputs(core::format_report(report).c_str(), stdout);
@@ -795,8 +579,8 @@ int cmd_sequence(const Args& args, bool resume_mode) {
   if (args.positional.size() < 2 || !args.dims) usage_and_exit();
   const std::string out = args.positional.back();
   const std::size_t total_steps = args.positional.size() - 1;
-  const Codecs codecs = make_codecs(args.codec);
-  const core::CodecPair pair{codecs.reduced.get(), codecs.delta.get()};
+  const core::Codecs codecs = core::make_codecs(args.codec);
+  const core::CodecPair pair = codecs.pair();
   io::SerializeOptions options;
   options.with_parity = !args.no_parity;
   options.with_chunk_index = args.seekable;
@@ -1025,16 +809,14 @@ void emit_stats(const Args& args) {
 // rmpd front end: `rmpc serve` and `rmpc client`
 
 /// `rmpc serve [server flags]`: run the rmpd daemon in-process (same code
-/// path as the rmpd binary), so a single installed tool covers both ends.
-int cmd_serve(int argc, char** argv) {
-  const std::vector<std::string> raw(argv + 2, argv + argc);
+/// path and flags as the rmpd binary), so a single installed tool covers
+/// both ends.
+int cmd_serve(const std::vector<std::string>& raw) {
   net::ServerOptions options;
   std::optional<std::filesystem::path> port_file;
-  if (const auto error =
-          net::parse_server_flags(raw, options, port_file)) {
-    std::fprintf(stderr, "rmpc: %s\n", error->c_str());
-    usage_and_exit();
-  }
+  if (const auto error = tools::parse_flags(
+          raw, tools::server_flags(options, port_file), nullptr))
+    usage_error(*error);
   return net::run_daemon(options, port_file);
 }
 
@@ -1053,14 +835,8 @@ int cmd_client_encode(const Args& args, net::Client& client) {
   request.nx = args.dims->nx;
   request.ny = args.dims->ny;
   request.nz = args.dims->nz;
-  request.data = read_doubles(args.positional[1]);
-  if (request.data.size() != args.dims->nx * args.dims->ny * args.dims->nz) {
-    std::fprintf(stderr,
-                 "rmpc: %s holds %zu doubles but --dims says %zux%zux%zu\n",
-                 args.positional[1].c_str(), request.data.size(),
-                 args.dims->nx, args.dims->ny, args.dims->nz);
-    std::exit(tools::kExitUsage);
-  }
+  request.data =
+      std::move(field_from_file(args.positional[1], *args.dims).storage());
   if (!args.store_name.empty()) {
     request.store = net::StoreMode::kFile;
     request.store_name = args.store_name;
@@ -1081,7 +857,7 @@ int cmd_client_encode(const Args& args, net::Client& client) {
                 response.method.c_str());
     return tools::kExitOk;
   }
-  write_bytes(args.positional[2], response.container);
+  write_file<std::uint8_t>(args.positional[2], response.container);
   std::printf("%s: %llu -> %llu bytes via %s\n", args.positional[2].c_str(),
               static_cast<unsigned long long>(response.original_bytes),
               static_cast<unsigned long long>(response.stored_bytes),
@@ -1103,11 +879,11 @@ int cmd_client_decode(const Args& args, net::Client& client) {
     out = args.positional[1];
   } else {
     if (args.positional.size() != 3) usage_and_exit();
-    request.container = read_bytes(args.positional[1]);
+    request.container = read_file<std::uint8_t>(args.positional[1]);
     out = args.positional[2];
   }
   const auto response = client.decode(request);
-  write_doubles(out, response.data);
+  write_file<double>(out, response.data);
   std::printf("%s: %llux%llux%llu doubles%s%s\n", out.c_str(),
               static_cast<unsigned long long>(response.nx),
               static_cast<unsigned long long>(response.ny),
@@ -1120,7 +896,7 @@ int cmd_client_decode(const Args& args, net::Client& client) {
 int cmd_client_verify(const Args& args, net::Client& client) {
   if (args.positional.size() != 2) usage_and_exit();
   net::VerifyRequest request;
-  request.container = read_bytes(args.positional[1]);
+  request.container = read_file<std::uint8_t>(args.positional[1]);
   const auto response = client.verify(request);
   std::printf("%s: container v%u\n", args.positional[1].c_str(),
               response.version);
@@ -1257,10 +1033,13 @@ int run_command(const std::string& command, const Args& args) {
 int main(int argc, char** argv) {
   if (argc < 2) usage_and_exit();
   const std::string command = argv[1];
+  const std::vector<std::string> raw(argv + 2, argv + argc);
   try {
-    // serve has its own flag grammar (shared with the rmpd binary).
-    if (command == "serve") return cmd_serve(argc, argv);
-    const Args args = parse_args(argc, argv);
+    if (command == "serve") return cmd_serve(raw);
+    Args args;
+    if (const auto error =
+            tools::parse_flags(raw, rmpc_flags(args), &args.positional))
+      usage_error(*error);
     const int status = run_command(command, args);
     emit_stats(args);
     return status;
