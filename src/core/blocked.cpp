@@ -10,22 +10,6 @@
 #include "parallel/thread_pool.hpp"
 
 namespace rmp::core {
-namespace {
-
-struct RowBlock {
-  std::size_t begin, end;
-};
-
-std::vector<RowBlock> make_blocks(std::size_t rows, std::size_t count) {
-  std::vector<RowBlock> blocks;
-  blocks.reserve(count);
-  for (std::size_t b = 0; b < count; ++b) {
-    blocks.push_back({b * rows / count, (b + 1) * rows / count});
-  }
-  return blocks;
-}
-
-}  // namespace
 
 BlockedPreconditioner::BlockedPreconditioner(const std::string& inner,
                                              std::size_t partitions)
@@ -47,7 +31,7 @@ io::Container BlockedPreconditioner::encode(const sim::Field& field,
   const obs::ScopedSpan span("precondition/blocked");
   const auto [rows, cols] = matrix_shape(field);
   const std::size_t count = std::min(partitions_, rows);
-  const auto blocks = make_blocks(rows, count);
+  const auto blocks = even_split(rows, count);
   const auto flat = field.flat();
 
   io::Container container;
@@ -111,7 +95,7 @@ sim::Field BlockedPreconditioner::decode(const io::Container& container,
                              "field shape",
                              "meta");
   }
-  const auto blocks = make_blocks(rows, count);
+  const auto blocks = even_split(rows, count);
 
   // Block row ranges are disjoint, so each task scatters into its own
   // region of `values`; decode errors propagate out of parallel_for.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/pca.hpp"  // spectrum_proportions
 #include "core/reshape.hpp"
 #include "la/covariance.hpp"
 #include "la/eigen.hpp"
@@ -71,10 +72,8 @@ double compute_pc1_proportion(const sim::Field& field,
     }
   }
   const auto eig = la::jacobi_eigen(la::covariance(sampled));
-  double total = 0.0;
-  for (double v : eig.values) total += std::max(v, 0.0);
-  if (total <= 0.0) return 1.0;
-  return std::max(eig.values.front(), 0.0) / total;
+  return spectrum_proportions(eig.values, /*first_carries_degenerate=*/true)
+      .front();
 }
 
 }  // namespace

@@ -3,24 +3,12 @@
 #include <stdexcept>
 
 #include "core/preconditioner.hpp"
+#include "core/reshape.hpp"
 #include "core/serialize.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace rmp::core {
 namespace {
-
-struct SlabExtent {
-  std::size_t begin, end;
-};
-
-std::vector<SlabExtent> slab_extents(std::size_t nz, std::size_t count) {
-  std::vector<SlabExtent> extents;
-  extents.reserve(count);
-  for (std::size_t s = 0; s < count; ++s) {
-    extents.push_back({s * nz / count, (s + 1) * nz / count});
-  }
-  return extents;
-}
 
 // Read and validate the slab count from the meta section.  The container
 // may come off disk, so the value is untrusted: 0 would silently decode
@@ -74,7 +62,7 @@ io::Container compress_field_parallel(const sim::Field& field,
   }
   const std::size_t slabs =
       std::max<std::size_t>(1, std::min(options.slabs, field.nz()));
-  const auto extents = slab_extents(field.nz(), slabs);
+  const auto extents = even_split(field.nz(), slabs);
 
   io::Container container;
   container.method = "parallel-slabs";
@@ -112,7 +100,7 @@ sim::Field decompress_field_parallel(const io::Container& container,
                                      std::size_t threads) {
   const std::size_t slabs =
       validated_slab_count(container, "decompress_field_parallel");
-  const auto extents = slab_extents(container.nz, slabs);
+  const auto extents = even_split(container.nz, slabs);
 
   sim::Field out(container.nx, container.ny, container.nz);
 
@@ -154,7 +142,7 @@ SlabView decompress_slab(const io::Container& container,
   if (slab >= slabs) {
     throw std::out_of_range("decompress_slab: slab index out of range");
   }
-  const auto extents = slab_extents(container.nz, slabs);
+  const auto extents = even_split(container.nz, slabs);
   const std::string slab_name = "slab" + std::to_string(slab);
   const auto& section =
       require_section(container, slab_name, "decompress_slab");

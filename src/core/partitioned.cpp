@@ -7,38 +7,10 @@
 #include "core/reshape.hpp"
 #include "core/serialize.hpp"
 #include "io/container_error.hpp"
-#include "la/covariance.hpp"
-#include "la/eigen.hpp"
 #include "obs/obs.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace rmp::core {
-namespace {
-
-struct RowBlock {
-  std::size_t begin, end;
-};
-
-std::vector<RowBlock> make_blocks(std::size_t rows, std::size_t count) {
-  std::vector<RowBlock> blocks;
-  blocks.reserve(count);
-  for (std::size_t b = 0; b < count; ++b) {
-    blocks.push_back({b * rows / count, (b + 1) * rows / count});
-  }
-  return blocks;
-}
-
-la::Matrix rows_of(const la::Matrix& m, const RowBlock& block) {
-  la::Matrix out(block.end - block.begin, m.cols());
-  for (std::size_t i = block.begin; i < block.end; ++i) {
-    for (std::size_t j = 0; j < m.cols(); ++j) {
-      out(i - block.begin, j) = m(i, j);
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 PartitionedPcaPreconditioner::PartitionedPcaPreconditioner(
     PartitionedPcaOptions options)
@@ -56,91 +28,47 @@ io::Container PartitionedPcaPreconditioner::encode(const sim::Field& field,
                                                    EncodeStats* stats) const {
   const obs::ScopedSpan span("precondition/pca-part");
   const la::Matrix a = as_matrix(field);
+  const std::size_t cols = a.cols();
   const std::size_t count = std::min(options_.partitions, a.rows());
-  const auto blocks = make_blocks(a.rows(), count);
+  const auto blocks = even_split(a.rows(), count);
 
-  la::Matrix reconstruction(a.rows(), a.cols());
+  la::Matrix reconstruction(a.rows(), cols);
   std::vector<std::uint64_t> meta(1 + 2 * count);
   meta[0] = count;
 
-  io::Container container;
-  container.method = name();
-  container.nx = field.nx();
-  container.ny = field.ny();
-  container.nz = field.nz();
-
-  // Each block runs its whole PCA (covariance, Jacobi sweep, projection)
-  // independently and writes a disjoint row range of `reconstruction`;
-  // the serialized sections are collected per block and appended in block
-  // order afterwards so the container is identical at every thread count.
-  struct BlockSections {
-    std::vector<std::uint8_t> scores, basis, means;
-  };
-  std::vector<BlockSections> sections(count);
+  // Each block runs its whole PCA fit independently and writes a disjoint
+  // row range of `reconstruction`; the serialized sections are collected
+  // per block and appended in block order afterwards so the container is
+  // identical at every thread count.  A block whose Jacobi solve does not
+  // converge still encodes: the delta absorbs whatever its basis misses.
+  std::vector<io::Section> sections(3 * count);
   parallel::parallel_for(count, [&](std::size_t b) {
-    la::Matrix block = rows_of(a, blocks[b]);
-    const auto means = la::column_means(block);
-    la::Matrix centered = block;
-    la::center_columns(centered, means);
+    const auto [begin, end] = blocks[b];
+    const la::Matrix block(
+        end - begin, cols,
+        std::vector<double>(a.flat().begin() + begin * cols,
+                            a.flat().begin() + end * cols));
+    const PcaFit fit = pca_fit(block, options_.variance_target);
+    const la::Matrix block_recon =
+        pca_reconstruct(fit.scores, fit.basis, fit.means);
+    std::copy(block_recon.flat().begin(), block_recon.flat().end(),
+              reconstruction.flat().begin() + begin * cols);
 
-    const auto eig = la::jacobi_eigen(la::covariance(block));
-    double total = 0.0;
-    for (double v : eig.values) total += std::max(v, 0.0);
-    std::vector<double> proportions;
-    proportions.reserve(eig.values.size());
-    for (double v : eig.values) {
-      proportions.push_back(total > 0.0 ? std::max(v, 0.0) / total : 0.0);
-    }
-    std::size_t k =
-        std::max<std::size_t>(1, components_for_target(
-                                     proportions, options_.variance_target));
-
-    la::Matrix basis(eig.vectors.rows(), k);
-    for (std::size_t i = 0; i < basis.rows(); ++i) {
-      for (std::size_t j = 0; j < k; ++j) basis(i, j) = eig.vectors(i, j);
-    }
-    const la::Matrix scores = centered * basis;
-
-    la::Matrix block_recon = scores * basis.transposed();
-    la::uncenter_columns(block_recon, means);
-    for (std::size_t i = blocks[b].begin; i < blocks[b].end; ++i) {
-      for (std::size_t j = 0; j < a.cols(); ++j) {
-        reconstruction(i, j) = block_recon(i - blocks[b].begin, j);
-      }
-    }
-
-    sections[b].scores = codecs.reduced->compress(
-        scores.flat(), compress::Dims::d2(scores.rows(), scores.cols()));
-    sections[b].basis = matrix_to_bytes(basis);
-    sections[b].means = doubles_to_bytes(means);
-    meta[1 + 2 * b] = k;
-    meta[2 + 2 * b] = scores.rows();
+    const std::string suffix = std::to_string(b);
+    sections[3 * b] = {"scores" + suffix,
+                       codecs.reduced->compress(
+                           fit.scores.flat(),
+                           compress::Dims::d2(fit.scores.rows(),
+                                              fit.scores.cols()))};
+    sections[3 * b + 1] = {"basis" + suffix, matrix_to_bytes(fit.basis)};
+    sections[3 * b + 2] = {"means" + suffix, doubles_to_bytes(fit.means)};
+    meta[1 + 2 * b] = fit.basis.cols();
+    meta[2 + 2 * b] = fit.scores.rows();
   });
 
-  std::size_t reduced_bytes = 0;
-  for (std::size_t b = 0; b < count; ++b) {
-    const std::string suffix = std::to_string(b);
-    reduced_bytes += sections[b].scores.size() + sections[b].basis.size() +
-                     sections[b].means.size();
-    container.add("scores" + suffix, std::move(sections[b].scores));
-    container.add("basis" + suffix, std::move(sections[b].basis));
-    container.add("means" + suffix, std::move(sections[b].means));
-  }
-
-  const sim::Field delta = subtract(
-      field,
-      matrix_to_field(reconstruction, field.nx(), field.ny(), field.nz()));
-  container.add("delta",
-                traced_compress(*codecs.delta, "delta-compress", delta.flat(),
-                                {field.nx(), field.ny(), field.nz()}));
-  container.add("meta", u64s_to_bytes(meta));
-
-  fill_stats(container, field.size(), stats);
-  if (stats != nullptr) {
-    stats->reduced_bytes = reduced_bytes;
-    stats->delta_bytes = container.find("delta")->bytes.size();
-  }
-  return container;
+  delta_in_place(field, reconstruction.flat());
+  return reduced_model_container(name(), field, std::move(sections),
+                                 reconstruction.flat(), meta, codecs, stats);
 }
 
 sim::Field PartitionedPcaPreconditioner::decode(
@@ -148,7 +76,6 @@ sim::Field PartitionedPcaPreconditioner::decode(
     const sim::Field*) const {
   const obs::ScopedSpan span("pca-part");
   const auto& meta_section = require_section(container, "meta", "pca-part");
-  const auto& delta_section = require_section(container, "delta", "pca-part");
   const auto meta = bytes_to_u64s(meta_section.bytes);
   const auto malformed = [](const std::string& what,
                             const std::string& section) {
@@ -175,6 +102,7 @@ sim::Field PartitionedPcaPreconditioner::decode(
     throw malformed("block rows do not tile the field", "meta");
   }
   const std::size_t cols = cells / total_rows;
+  sim::Field out = decode_delta(container, codecs, "pca-part");
 
   // First row of each block: prefix sums of the per-block row counts, so
   // the per-block decodes can scatter into disjoint ranges concurrently.
@@ -200,22 +128,13 @@ sim::Field PartitionedPcaPreconditioner::decode(
     if (basis.rows() != cols) {
       throw malformed("basis width mismatch", "basis" + suffix);
     }
-    const auto means = bytes_to_doubles(means_section.bytes);
-
-    la::Matrix block_recon = scores * basis.transposed();
-    la::uncenter_columns(block_recon, means);
-    for (std::size_t i = 0; i < rows; ++i) {
-      for (std::size_t j = 0; j < cols; ++j) {
-        reconstruction(row_offset[b] + i, j) = block_recon(i, j);
-      }
-    }
+    const la::Matrix block_recon = pca_reconstruct(
+        scores, basis, bytes_to_doubles(means_section.bytes));
+    std::copy(block_recon.flat().begin(), block_recon.flat().end(),
+              reconstruction.flat().begin() + row_offset[b] * cols);
   });
-
-  const auto delta_values = codecs.delta->decompress(delta_section.bytes);
-  sim::Field out = sim::Field::from_data(container.nx, container.ny,
-                                         container.nz, delta_values);
-  return add(out, matrix_to_field(reconstruction, container.nx, container.ny,
-                                  container.nz));
+  add_reconstruction(out, reconstruction.flat(), "pca-part");
+  return out;
 }
 
 }  // namespace rmp::core

@@ -11,7 +11,6 @@
 #include "obs/obs.hpp"
 
 namespace rmp::core {
-namespace {
 
 la::Matrix leading_columns(const la::Matrix& m, std::size_t k) {
   la::Matrix out(m.rows(), k);
@@ -23,8 +22,6 @@ la::Matrix leading_columns(const la::Matrix& m, std::size_t k) {
   return out;
 }
 
-}  // namespace
-
 std::size_t components_for_target(const std::vector<double>& proportions,
                                   double target) {
   double cumulative = 0.0;
@@ -35,26 +32,55 @@ std::size_t components_for_target(const std::vector<double>& proportions,
   return proportions.empty() ? 0 : proportions.size();
 }
 
-std::vector<double> pca_variance_proportions(const sim::Field& field) {
-  const la::Matrix a = as_matrix(field);
-  const la::Matrix cov = la::covariance(a);
-  const auto eig = la::jacobi_eigen(cov);
+std::vector<double> spectrum_proportions(std::span<const double> spectrum,
+                                         bool first_carries_degenerate) {
+  std::vector<double> proportions;
+  proportions.reserve(spectrum.size());
   double total = 0.0;
-  std::vector<double> clamped;
-  clamped.reserve(eig.values.size());
-  for (double v : eig.values) {
+  for (double v : spectrum) {
     // Tiny negative eigenvalues are numerical noise.
-    clamped.push_back(std::max(v, 0.0));
-    total += clamped.back();
+    proportions.push_back(std::max(v, 0.0));
+    total += proportions.back();
   }
-  if (total <= 0.0) {
-    // Constant data: the first "component" trivially carries everything.
-    std::vector<double> proportions(clamped.size(), 0.0);
-    if (!proportions.empty()) proportions[0] = 1.0;
-    return proportions;
+  if (total > 0.0) {
+    for (double& v : proportions) v /= total;
+  } else {
+    std::fill(proportions.begin(), proportions.end(), 0.0);
+    if (first_carries_degenerate && !proportions.empty()) proportions[0] = 1.0;
   }
-  for (double& v : clamped) v /= total;
-  return clamped;
+  return proportions;
+}
+
+std::vector<double> pca_variance_proportions(const sim::Field& field) {
+  const auto eig = la::jacobi_eigen(la::covariance(as_matrix(field)));
+  return spectrum_proportions(eig.values, /*first_carries_degenerate=*/true);
+}
+
+PcaFit pca_fit(const la::Matrix& a, double variance_target,
+               const la::JacobiOptions& jacobi) {
+  PcaFit fit;
+  fit.means = la::column_means(a);
+  la::Matrix centered = a;
+  la::center_columns(centered, fit.means);
+
+  const auto eig = la::jacobi_eigen(la::covariance(a), jacobi);
+  fit.converged = eig.converged;
+  fit.off_diagonal_residual = eig.off_diagonal_residual;
+  // k components covering the variance target; a spectrum summing to
+  // zero (constant data) keeps every component.
+  const std::size_t k = std::max<std::size_t>(
+      1, components_for_target(spectrum_proportions(eig.values, false),
+                               variance_target));
+  fit.basis = leading_columns(eig.vectors, k);  // n x k
+  fit.scores = centered * fit.basis;            // m x k
+  return fit;
+}
+
+la::Matrix pca_reconstruct(const la::Matrix& scores, const la::Matrix& basis,
+                           const std::vector<double>& means) {
+  la::Matrix reconstruction = scores * basis.transposed();  // m x n
+  la::uncenter_columns(reconstruction, means);
+  return reconstruction;
 }
 
 PcaPreconditioner::PcaPreconditioner(PcaOptions options) : options_(options) {
@@ -67,75 +93,39 @@ io::Container PcaPreconditioner::encode(const sim::Field& field,
                                         const CodecPair& codecs,
                                         EncodeStats* stats) const {
   const obs::ScopedSpan span("precondition/pca");
-  la::Matrix a = as_matrix(field);
-  const auto means = la::column_means(a);
-  la::Matrix centered = a;
-  la::center_columns(centered, means);
-
-  const la::Matrix cov = la::covariance(a);
-  const auto eig = la::jacobi_eigen(cov, options_.jacobi);
-  if (!eig.converged) {
+  const PcaFit fit =
+      pca_fit(as_matrix(field), options_.variance_target, options_.jacobi);
+  if (!fit.converged) {
     throw PreconditionError(
         PrecondErrc::kEigenNonConvergence,
         "pca: covariance eigendecomposition left off-diagonal residual " +
-            std::to_string(eig.off_diagonal_residual) + " after " +
+            std::to_string(fit.off_diagonal_residual) + " after " +
             std::to_string(options_.jacobi.max_sweeps) + " sweep(s)");
   }
+  const la::Matrix& scores = fit.scores;
 
-  // k components covering the variance target.
-  std::vector<double> proportions;
-  proportions.reserve(eig.values.size());
-  double total = 0.0;
-  for (double v : eig.values) total += std::max(v, 0.0);
-  for (double v : eig.values) {
-    proportions.push_back(total > 0.0 ? std::max(v, 0.0) / total : 0.0);
-  }
-  std::size_t k = components_for_target(proportions, options_.variance_target);
-  k = std::max<std::size_t>(1, k);
-
-  const la::Matrix basis = leading_columns(eig.vectors, k);  // n x k
-  const la::Matrix scores = centered * basis;                // m x k
-
-  const auto scores_bytes =
+  auto scores_bytes =
       traced_compress(*codecs.reduced, "reduced-compress", scores.flat(),
                       compress::Dims::d2(scores.rows(), scores.cols()));
 
   // Reconstruction used for the delta: clean scores by default (the
   // paper's pipeline), decoded scores when the ablation flag is set.
-  la::Matrix recon_scores = scores;
-  if (options_.delta_against_decoded) {
-    recon_scores = la::Matrix(scores.rows(), scores.cols(),
-                              codecs.reduced->decompress(scores_bytes));
-  }
-  la::Matrix reconstruction = recon_scores * basis.transposed();  // m x n
-  la::uncenter_columns(reconstruction, means);
+  la::Matrix delta =
+      options_.delta_against_decoded
+          ? pca_reconstruct(
+                la::Matrix(scores.rows(), scores.cols(),
+                           codecs.reduced->decompress(scores_bytes)),
+                fit.basis, fit.means)
+          : pca_reconstruct(scores, fit.basis, fit.means);
+  delta_in_place(field, delta.flat());
 
-  sim::Field delta = subtract(
-      field, matrix_to_field(reconstruction, field.nx(), field.ny(),
-                             field.nz()));
-
-  io::Container container;
-  container.method = name();
-  container.nx = field.nx();
-  container.ny = field.ny();
-  container.nz = field.nz();
-  container.add("scores", scores_bytes);
-  container.add("basis", matrix_to_bytes(basis));
-  container.add("means", doubles_to_bytes(means));
-  container.add("delta",
-                traced_compress(*codecs.delta, "delta-compress", delta.flat(),
-                                {field.nx(), field.ny(), field.nz()}));
-  const std::uint64_t meta[2] = {k, scores.rows()};
-  container.add("meta", u64s_to_bytes(meta));
-
-  fill_stats(container, field.size(), stats);
-  if (stats != nullptr) {
-    stats->reduced_bytes = container.find("scores")->bytes.size() +
-                           container.find("basis")->bytes.size() +
-                           container.find("means")->bytes.size();
-    stats->delta_bytes = container.find("delta")->bytes.size();
-  }
-  return container;
+  const std::uint64_t meta[2] = {fit.basis.cols(), scores.rows()};
+  return reduced_model_container(
+      name(), field,
+      {{"scores", std::move(scores_bytes)},
+       {"basis", matrix_to_bytes(fit.basis)},
+       {"means", doubles_to_bytes(fit.means)}},
+      delta.flat(), meta, codecs, stats);
 }
 
 sim::Field PcaPreconditioner::decode(const io::Container& container,
@@ -145,24 +135,18 @@ sim::Field PcaPreconditioner::decode(const io::Container& container,
   const auto& scores_section = require_section(container, "scores", "pca");
   const auto& basis_section = require_section(container, "basis", "pca");
   const auto& means_section = require_section(container, "means", "pca");
-  const auto& delta_section = require_section(container, "delta", "pca");
   const auto& meta_section = require_section(container, "meta", "pca");
   const auto meta = bytes_to_u64s(meta_section.bytes);
   const std::size_t k = meta.at(0);
   const std::size_t m = meta.at(1);
 
-  const la::Matrix basis = bytes_to_matrix(basis_section.bytes);
-  const auto means = bytes_to_doubles(means_section.bytes);
-  la::Matrix scores(m, k, codecs.reduced->decompress(scores_section.bytes));
-
-  la::Matrix reconstruction = scores * basis.transposed();
-  la::uncenter_columns(reconstruction, means);
-
-  const auto delta_values = codecs.delta->decompress(delta_section.bytes);
-  sim::Field out = sim::Field::from_data(container.nx, container.ny,
-                                         container.nz, delta_values);
-  return add(out, matrix_to_field(reconstruction, container.nx, container.ny,
-                                  container.nz));
+  sim::Field out = decode_delta(container, codecs, "pca");
+  const la::Matrix reconstruction = pca_reconstruct(
+      la::Matrix(m, k, codecs.reduced->decompress(scores_section.bytes)),
+      bytes_to_matrix(basis_section.bytes),
+      bytes_to_doubles(means_section.bytes));
+  add_reconstruction(out, reconstruction.flat(), "pca");
+  return out;
 }
 
 }  // namespace rmp::core

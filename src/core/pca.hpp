@@ -9,10 +9,12 @@
 // is compressed at delta grade.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/preconditioner.hpp"
 #include "la/eigen.hpp"
+#include "la/matrix.hpp"
 
 namespace rmp::core {
 
@@ -48,12 +50,42 @@ class PcaPreconditioner final : public Preconditioner {
   PcaOptions options_;
 };
 
+/// One PCA fit of an m x n matrix `a` (paper §V-A.1): column means, the
+/// n x k leading eigenvectors of the centred covariance covering
+/// `variance_target` of the variance (k >= 1), and the m x k scores.
+/// `converged`/`off_diagonal_residual` report the Jacobi solve; callers
+/// decide whether a non-converged basis is acceptable.
+struct PcaFit {
+  std::vector<double> means;
+  la::Matrix basis;
+  la::Matrix scores;
+  bool converged = false;
+  double off_diagonal_residual = 0.0;
+};
+PcaFit pca_fit(const la::Matrix& a, double variance_target,
+               const la::JacobiOptions& jacobi = {});
+
+/// The PCA reconstruction: scores * basis^T + means (per column).
+la::Matrix pca_reconstruct(const la::Matrix& scores, const la::Matrix& basis,
+                           const std::vector<double>& means);
+
 /// Proportion of total variance captured by each principal component of
 /// the field's canonical matrix, descending (Fig. 7).
 std::vector<double> pca_variance_proportions(const sim::Field& field);
 
+/// Each entry of a descending spectrum (eigenvalues or singular values;
+/// negatives clamped to zero) as a share of its sum.  A spectrum that
+/// does not sum to a positive value gives all zeros, or {1, 0, ...} when
+/// `first_carries_degenerate` (the first "component" of constant data
+/// trivially carries everything).
+std::vector<double> spectrum_proportions(std::span<const double> spectrum,
+                                         bool first_carries_degenerate);
+
 /// Components needed to reach `target` cumulative proportion.
 std::size_t components_for_target(const std::vector<double>& proportions,
                                   double target);
+
+/// The first k columns of `m`.
+la::Matrix leading_columns(const la::Matrix& m, std::size_t k);
 
 }  // namespace rmp::core

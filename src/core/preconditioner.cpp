@@ -3,6 +3,8 @@
 #include <stdexcept>
 
 #include "compress/factory.hpp"
+#include "io/container_error.hpp"
+#include "la/matrix.hpp"
 #include "obs/obs.hpp"
 
 #include "core/blocked.hpp"
@@ -11,6 +13,7 @@
 #include "core/partitioned.hpp"
 #include "core/pca.hpp"
 #include "core/projection.hpp"
+#include "core/serialize.hpp"
 #include "core/svd_precond.hpp"
 #include "core/tucker.hpp"
 #include "core/wavelet_precond.hpp"
@@ -80,14 +83,6 @@ std::vector<std::uint8_t> traced_compress(const compress::Compressor& codec,
   return bytes;
 }
 
-std::vector<double> traced_decompress(const compress::Compressor& codec,
-                                      const char* stage,
-                                      std::span<const std::uint8_t> bytes) {
-  const obs::ScopedSpan span(stage);
-  obs::count(std::string("decode.bytes.") + stage, bytes.size());
-  return codec.decompress(bytes);
-}
-
 void fill_stats(const io::Container& container, std::size_t element_count,
                 EncodeStats* stats) {
   if (stats == nullptr) return;
@@ -98,6 +93,83 @@ void fill_stats(const io::Container& container, std::size_t element_count,
           ? static_cast<double>(stats->original_bytes) /
                 static_cast<double>(stats->total_bytes)
           : 0.0;
+}
+
+io::Container reduced_model_container(const std::string& method,
+                                      const sim::Field& field,
+                                      std::vector<io::Section> reduced,
+                                      std::span<const double> delta,
+                                      std::span<const std::uint64_t> meta,
+                                      const CodecPair& codecs,
+                                      EncodeStats* stats) {
+  io::Container container;
+  container.method = method;
+  container.nx = field.nx();
+  container.ny = field.ny();
+  container.nz = field.nz();
+  std::size_t reduced_bytes = 0;
+  for (io::Section& section : reduced) {
+    reduced_bytes += section.bytes.size();
+    container.add(std::move(section.name), std::move(section.bytes));
+  }
+  const std::size_t delta_bytes =
+      container
+          .add("delta",
+               traced_compress(*codecs.delta, "delta-compress", delta,
+                               {field.nx(), field.ny(), field.nz()}))
+          .bytes.size();
+  container.add("meta", u64s_to_bytes(meta));
+
+  fill_stats(container, field.size(), stats);
+  if (stats != nullptr) {
+    stats->reduced_bytes = reduced_bytes;
+    stats->delta_bytes = delta_bytes;
+  }
+  return container;
+}
+
+void delta_in_place(const sim::Field& field, std::span<double> values) {
+  const auto original = field.flat();
+  if (values.size() != original.size()) {
+    throw std::logic_error("delta_in_place: reconstruction size mismatch");
+  }
+  for (std::size_t n = 0; n < values.size(); ++n) {
+    values[n] = original[n] - values[n];
+  }
+}
+
+sim::Field decode_delta(const io::Container& container,
+                        const CodecPair& codecs, const char* decoder) {
+  const io::Section& section = require_section(container, "delta", decoder);
+  std::vector<double> values = codecs.delta->decompress(section.bytes);
+  const std::size_t cells = la::checked_cells(
+      la::checked_cells(container.nx, container.ny), container.nz);
+  if (values.size() != cells) {
+    throw io::ContainerError(io::ContainerErrc::kSectionMalformed,
+                             std::string(decoder) + " decode: delta holds " +
+                                 std::to_string(values.size()) +
+                                 " cells, the header " +
+                                 std::to_string(cells),
+                             "delta");
+  }
+  return sim::Field::from_data(container.nx, container.ny, container.nz,
+                               std::move(values));
+}
+
+void add_reconstruction(sim::Field& out,
+                        std::span<const double> reconstruction,
+                        const char* decoder) {
+  const auto values = out.flat();
+  if (reconstruction.size() != values.size()) {
+    throw io::ContainerError(
+        io::ContainerErrc::kSectionMalformed,
+        std::string(decoder) + " decode: reduced model rebuilds " +
+            std::to_string(reconstruction.size()) + " cells, the header " +
+            std::to_string(values.size()));
+  }
+  for (std::size_t n = 0; n < values.size(); ++n) {
+    values[n] += reconstruction[n];
+  }
 }
 
 }  // namespace rmp::core

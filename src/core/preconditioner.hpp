@@ -9,7 +9,9 @@
 // the delta at the looser delta grade (its magnitude is much smaller).
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -81,21 +83,46 @@ const std::vector<std::string>& preconditioner_names();
 void fill_stats(const io::Container& container, std::size_t element_count,
                 EncodeStats* stats);
 
+/// The shared encode tail of Fig. 5: a container for `method` with
+/// `field`'s header, the `reduced` sections in archive order, then
+/// "delta" (`delta` compressed at delta grade) and "meta".  `stats`
+/// counts the reduced sections as reduced_bytes.
+io::Container reduced_model_container(const std::string& method,
+                                      const sim::Field& field,
+                                      std::vector<io::Section> reduced,
+                                      std::span<const double> delta,
+                                      std::span<const std::uint64_t> meta,
+                                      const CodecPair& codecs,
+                                      EncodeStats* stats);
+
+/// Turn a reconstruction of `field` into the delta, in place:
+/// values[n] = field[n] - values[n].
+void delta_in_place(const sim::Field& field, std::span<double> values);
+
+/// Decode the "delta" section as a field of the container's shape.  A
+/// stream holding anything but nx*ny*nz cells raises
+/// io::ContainerError(kSectionMalformed, "delta").
+sim::Field decode_delta(const io::Container& container,
+                        const CodecPair& codecs, const char* decoder);
+
+/// out[n] += reconstruction[n]; a reconstruction of any other length than
+/// `out` raises io::ContainerError(kSectionMalformed).
+void add_reconstruction(sim::Field& out,
+                        std::span<const double> reconstruction,
+                        const char* decoder);
+
 /// Fetch a required section or throw io::ContainerError(kMissingSection)
 /// naming both the decoder and the absent section (helper for decoders).
 const io::Section& require_section(const io::Container& container,
                                    const std::string& name,
                                    const char* decoder);
 
-/// Codec calls under an obs stage span ("reduced-compress",
+/// Codec call under an obs stage span ("reduced-compress",
 /// "delta-compress", ...) with byte accounting, so per-stage cost shows up
 /// in `rmpc --stats` regardless of which preconditioner ran the codec.
 std::vector<std::uint8_t> traced_compress(const compress::Compressor& codec,
                                           const char* stage,
                                           std::span<const double> data,
                                           const compress::Dims& dims);
-std::vector<double> traced_decompress(const compress::Compressor& codec,
-                                      const char* stage,
-                                      std::span<const std::uint8_t> bytes);
 
 }  // namespace rmp::core

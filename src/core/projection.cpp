@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "core/reshape.hpp"
 #include "core/serialize.hpp"
 #include "obs/obs.hpp"
 #include "parallel/thread_pool.hpp"
@@ -20,12 +21,6 @@ void require_3d(const sim::Field& field, const char* who) {
   }
 }
 
-void base_container(io::Container& container, const sim::Field& field) {
-  container.nx = field.nx();
-  container.ny = field.ny();
-  container.nz = field.nz();
-}
-
 // Per-plane loops fan out over X ranges once the field is big enough for
 // the pool dispatch to pay for itself; below the cutoff they run inline.
 constexpr std::size_t kParallelElementCutoff = 1u << 14;
@@ -37,21 +32,6 @@ void for_x_ranges(std::size_t nx, std::size_t total_elements,
   } else {
     parallel::parallel_for_ranges(nx, body);
   }
-}
-
-/// Z-slab extents for multi-base: slab s covers [begin, end).
-struct Slab {
-  std::size_t begin, end, mid;
-};
-std::vector<Slab> make_slabs(std::size_t nz, std::size_t count) {
-  std::vector<Slab> slabs;
-  slabs.reserve(count);
-  for (std::size_t s = 0; s < count; ++s) {
-    const std::size_t begin = s * nz / count;
-    const std::size_t end = (s + 1) * nz / count;
-    slabs.push_back({begin, end, (begin + end) / 2});
-  }
-  return slabs;
 }
 
 }  // namespace
@@ -83,24 +63,13 @@ io::Container OneBasePreconditioner::encode(const sim::Field& field,
         }
       });
 
-  io::Container container;
-  container.method = name();
-  base_container(container, field);
-  container.add("reduced",
-                traced_compress(*codecs.reduced, "reduced-compress",
-                                plane.flat(), dims3(field.nx(), field.ny(), 1)));
-  container.add("delta",
-                traced_compress(*codecs.delta, "delta-compress", delta.flat(),
-                                dims3(field.nx(), field.ny(), field.nz())));
   const std::uint64_t meta[1] = {mid};
-  container.add("meta", u64s_to_bytes(meta));
-
-  fill_stats(container, field.size(), stats);
-  if (stats != nullptr) {
-    stats->reduced_bytes = container.find("reduced")->bytes.size();
-    stats->delta_bytes = container.find("delta")->bytes.size();
-  }
-  return container;
+  return reduced_model_container(
+      name(), field,
+      {{"reduced", traced_compress(*codecs.reduced, "reduced-compress",
+                                   plane.flat(),
+                                   dims3(field.nx(), field.ny(), 1))}},
+      delta.flat(), meta, codecs, stats);
 }
 
 sim::Field OneBasePreconditioner::decode(const io::Container& container,
@@ -108,18 +77,14 @@ sim::Field OneBasePreconditioner::decode(const io::Container& container,
                                          const sim::Field*) const {
   const obs::ScopedSpan span("one-base");
   const auto& reduced = require_section(container, "reduced", "one-base");
-  const auto& delta_section = require_section(container, "delta", "one-base");
   const auto plane_values = codecs.reduced->decompress(reduced.bytes);
-  const auto delta_values = codecs.delta->decompress(delta_section.bytes);
+  const sim::Field delta = decode_delta(container, codecs, "one-base");
   if (plane_values.size() != container.nx * container.ny) {
     throw io::ContainerError(io::ContainerErrc::kSectionMalformed,
                              "one-base decode: reduced plane size mismatch",
                              "reduced");
   }
-  if (delta_values.size() != container.nx * container.ny * container.nz) {
-    throw io::ContainerError(io::ContainerErrc::kSectionMalformed,
-                             "one-base decode: delta size mismatch", "delta");
-  }
+  const auto delta_values = delta.flat();
 
   sim::Field out(container.nx, container.ny, container.nz);
   for_x_ranges(
@@ -155,7 +120,7 @@ io::Container MultiBasePreconditioner::encode(const sim::Field& field,
   const obs::ScopedSpan span("precondition/multi-base");
   require_3d(field, "multi-base");
   const std::size_t count = std::min(slabs_, field.nz());
-  const auto slabs = make_slabs(field.nz(), count);
+  const auto slabs = even_split(field.nz(), count);
 
   // Reduced model: the stack of per-slab mid-planes, an (nx, ny, count)
   // field -- no broadcast needed, each sub-domain is self-contained.
@@ -163,7 +128,8 @@ io::Container MultiBasePreconditioner::encode(const sim::Field& field,
   for (std::size_t s = 0; s < count; ++s) {
     for (std::size_t i = 0; i < field.nx(); ++i) {
       for (std::size_t j = 0; j < field.ny(); ++j) {
-        planes.at(i, j, s) = field.at(i, j, slabs[s].mid);
+        planes.at(i, j, s) =
+            field.at(i, j, (slabs[s].begin + slabs[s].end) / 2);
       }
     }
   }
@@ -185,25 +151,13 @@ io::Container MultiBasePreconditioner::encode(const sim::Field& field,
         }
       });
 
-  io::Container container;
-  container.method = name();
-  base_container(container, field);
-  container.add("reduced",
-                traced_compress(*codecs.reduced, "reduced-compress",
-                                planes.flat(),
-                                dims3(field.nx(), field.ny(), count)));
-  container.add("delta",
-                traced_compress(*codecs.delta, "delta-compress", delta.flat(),
-                                dims3(field.nx(), field.ny(), field.nz())));
   const std::uint64_t meta[1] = {count};
-  container.add("meta", u64s_to_bytes(meta));
-
-  fill_stats(container, field.size(), stats);
-  if (stats != nullptr) {
-    stats->reduced_bytes = container.find("reduced")->bytes.size();
-    stats->delta_bytes = container.find("delta")->bytes.size();
-  }
-  return container;
+  return reduced_model_container(
+      name(), field,
+      {{"reduced", traced_compress(*codecs.reduced, "reduced-compress",
+                                   planes.flat(),
+                                   dims3(field.nx(), field.ny(), count))}},
+      delta.flat(), meta, codecs, stats);
 }
 
 sim::Field MultiBasePreconditioner::decode(const io::Container& container,
@@ -211,15 +165,21 @@ sim::Field MultiBasePreconditioner::decode(const io::Container& container,
                                            const sim::Field*) const {
   const obs::ScopedSpan span("multi-base");
   const auto& reduced = require_section(container, "reduced", "multi-base");
-  const auto& delta_section =
-      require_section(container, "delta", "multi-base");
   const auto& meta = require_section(container, "meta", "multi-base");
   const auto meta_values = bytes_to_u64s(meta.bytes);
   const std::size_t count = meta_values.at(0);
-  const auto slabs = make_slabs(container.nz, count);
+  // The slab count is stream-controlled: check it before it sizes
+  // anything.
+  if (count == 0 || count > container.nz) {
+    throw io::ContainerError(io::ContainerErrc::kSectionMalformed,
+                             "multi-base decode: slab count outside [1, nz]",
+                             "meta");
+  }
+  const auto slabs = even_split(container.nz, count);
 
   const auto plane_values = codecs.reduced->decompress(reduced.bytes);
-  const auto delta_values = codecs.delta->decompress(delta_section.bytes);
+  const sim::Field delta = decode_delta(container, codecs, "multi-base");
+  const auto delta_values = delta.flat();
   if (plane_values.size() != container.nx * container.ny * count) {
     throw io::ContainerError(io::ContainerErrc::kSectionMalformed,
                              "multi-base decode: reduced size mismatch",
@@ -280,7 +240,9 @@ io::Container DuoModelPreconditioner::encode_with_reduced(
 
   io::Container container;
   container.method = name();
-  base_container(container, field);
+  container.nx = field.nx();
+  container.ny = field.ny();
+  container.nz = field.nz();
   container.add("delta",
                 traced_compress(*codecs.delta, "delta-compress", delta.flat(),
                                 dims3(field.nx(), field.ny(), field.nz())));
@@ -307,13 +269,13 @@ sim::Field DuoModelPreconditioner::decode(
     const io::Container& container, const CodecPair& codecs,
     const sim::Field* external_reduced) const {
   const obs::ScopedSpan span("duomodel");
-  const auto& delta_section = require_section(container, "delta", "duomodel");
   const auto& meta = require_section(container, "meta", "duomodel");
   const auto meta_values = bytes_to_u64s(meta.bytes);
   const std::size_t rnx = meta_values.at(0);
   const std::size_t rny = meta_values.at(1);
   const std::size_t rnz = meta_values.at(2);
   const bool stored = meta_values.at(4) != 0;
+  sim::Field out = decode_delta(container, codecs, "duomodel");
 
   sim::Field reduced;
   if (stored) {
@@ -339,10 +301,8 @@ sim::Field DuoModelPreconditioner::decode(
 
   const sim::Field reconstruction =
       upsample_linear(reduced, container.nx, container.ny, container.nz);
-  const auto delta_values = codecs.delta->decompress(delta_section.bytes);
-  sim::Field out = sim::Field::from_data(container.nx, container.ny,
-                                         container.nz, delta_values);
-  return add(out, reconstruction);
+  add_reconstruction(out, reconstruction.flat(), "duomodel");
+  return out;
 }
 
 }  // namespace rmp::core

@@ -45,4 +45,13 @@ sim::Field matrix_to_field(const la::Matrix& mat, std::size_t nx,
       std::vector<double>(mat.flat().begin(), mat.flat().end()));
 }
 
+std::vector<Extent> even_split(std::size_t n, std::size_t count) {
+  std::vector<Extent> parts;
+  parts.reserve(count);
+  for (std::size_t s = 0; s < count; ++s) {
+    parts.push_back({s * n / count, (s + 1) * n / count});
+  }
+  return parts;
+}
+
 }  // namespace rmp::core

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <utility>
+#include <vector>
 
 #include "la/matrix.hpp"
 #include "sim/field.hpp"
@@ -27,5 +28,17 @@ la::Matrix as_matrix(const sim::Field& field);
 /// Inverse of as_matrix: rebuild a field of the given shape.
 sim::Field matrix_to_field(const la::Matrix& m, std::size_t nx, std::size_t ny,
                            std::size_t nz);
+
+/// One part [begin, end) of an even split.
+struct Extent {
+  std::size_t begin, end;
+};
+
+/// Split [0, n) into `count` contiguous parts; part s covers
+/// [s*n/count, (s+1)*n/count).  Row blocks, Z slabs and per-slab
+/// sub-domains all use this one rule, so a count read back from an
+/// archive rebuilds the writer's parts.  When `count` comes from a
+/// stream, check it against `n` before calling.
+std::vector<Extent> even_split(std::size_t n, std::size_t count);
 
 }  // namespace rmp::core

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/pca.hpp"  // components_for_target
+#include "core/pca.hpp"  // spectrum_proportions, leading_columns
 #include "core/precond_error.hpp"
 #include "core/reshape.hpp"
 #include "core/serialize.hpp"
@@ -24,32 +24,11 @@ la::Matrix scaled_leading(const la::SvdResult& svd, std::size_t k) {
   return p;
 }
 
-la::Matrix leading_v(const la::SvdResult& svd, std::size_t k) {
-  la::Matrix v(svd.v.rows(), k);
-  for (std::size_t i = 0; i < svd.v.rows(); ++i) {
-    for (std::size_t j = 0; j < k; ++j) {
-      v(i, j) = svd.v(i, j);
-    }
-  }
-  return v;
-}
-
 }  // namespace
 
 std::vector<double> svd_singular_proportions(const sim::Field& field) {
-  la::Matrix a = as_matrix(field);
-  const auto svd = la::jacobi_svd(a);
-  double total = 0.0;
-  for (double s : svd.sigma) total += s;
-  std::vector<double> proportions(svd.sigma.size(), 0.0);
-  if (total > 0.0) {
-    for (std::size_t i = 0; i < svd.sigma.size(); ++i) {
-      proportions[i] = svd.sigma[i] / total;
-    }
-  } else if (!proportions.empty()) {
-    proportions[0] = 1.0;
-  }
-  return proportions;
+  const auto svd = la::jacobi_svd(as_matrix(field));
+  return spectrum_proportions(svd.sigma, /*first_carries_degenerate=*/true);
 }
 
 SvdPreconditioner::SvdPreconditioner(SvdOptionsPre options)
@@ -73,19 +52,15 @@ io::Container SvdPreconditioner::encode(const sim::Field& field,
             std::to_string(options_.svd.max_sweeps) + " sweep(s)");
   }
 
-  double total = 0.0;
-  for (double s : svd.sigma) total += s;
-  std::vector<double> proportions(svd.sigma.size(), 0.0);
-  for (std::size_t i = 0; i < svd.sigma.size() && total > 0.0; ++i) {
-    proportions[i] = svd.sigma[i] / total;
-  }
-  std::size_t k = components_for_target(proportions, options_.energy_target);
+  std::size_t k =
+      components_for_target(spectrum_proportions(svd.sigma, false),
+                            options_.energy_target);
   k = std::max<std::size_t>(1, std::min(k, svd.sigma.size()));
 
   const la::Matrix p = scaled_leading(svd, k);  // (rows of internal U) x k
-  const la::Matrix vk = leading_v(svd, k);
+  const la::Matrix vk = leading_columns(svd.v, k);
 
-  const auto p_bytes =
+  auto p_bytes =
       traced_compress(*codecs.reduced, "reduced-compress", p.flat(),
                       compress::Dims::d2(p.rows(), p.cols()));
 
@@ -94,33 +69,15 @@ io::Container SvdPreconditioner::encode(const sim::Field& field,
     recon_p = la::Matrix(p.rows(), p.cols(),
                          codecs.reduced->decompress(p_bytes));
   }
-  la::Matrix reconstruction = recon_p * vk.transposed();
-  if (svd.transposed) reconstruction = reconstruction.transposed();
+  la::Matrix delta = recon_p * vk.transposed();
+  if (svd.transposed) delta = delta.transposed();
+  delta_in_place(field, delta.flat());
 
-  const sim::Field delta = subtract(
-      field,
-      matrix_to_field(reconstruction, field.nx(), field.ny(), field.nz()));
-
-  io::Container container;
-  container.method = name();
-  container.nx = field.nx();
-  container.ny = field.ny();
-  container.nz = field.nz();
-  container.add("u_sigma", p_bytes);
-  container.add("v", matrix_to_bytes(vk));
-  container.add("delta",
-                traced_compress(*codecs.delta, "delta-compress", delta.flat(),
-                                {field.nx(), field.ny(), field.nz()}));
   const std::uint64_t meta[3] = {k, p.rows(), svd.transposed ? 1u : 0u};
-  container.add("meta", u64s_to_bytes(meta));
-
-  fill_stats(container, field.size(), stats);
-  if (stats != nullptr) {
-    stats->reduced_bytes = container.find("u_sigma")->bytes.size() +
-                           container.find("v")->bytes.size();
-    stats->delta_bytes = container.find("delta")->bytes.size();
-  }
-  return container;
+  return reduced_model_container(
+      name(), field,
+      {{"u_sigma", std::move(p_bytes)}, {"v", matrix_to_bytes(vk)}},
+      delta.flat(), meta, codecs, stats);
 }
 
 sim::Field SvdPreconditioner::decode(const io::Container& container,
@@ -129,24 +86,20 @@ sim::Field SvdPreconditioner::decode(const io::Container& container,
   const obs::ScopedSpan span("svd");
   const auto& p_section = require_section(container, "u_sigma", "svd");
   const auto& v_section = require_section(container, "v", "svd");
-  const auto& delta_section = require_section(container, "delta", "svd");
   const auto& meta_section = require_section(container, "meta", "svd");
   const auto meta = bytes_to_u64s(meta_section.bytes);
   const std::size_t k = meta.at(0);
   const std::size_t rows = meta.at(1);
   const bool transposed = meta.at(2) != 0;
 
+  sim::Field out = decode_delta(container, codecs, "svd");
   const la::Matrix vk = bytes_to_matrix(v_section.bytes);
   la::Matrix p(rows, k, codecs.reduced->decompress(p_section.bytes));
 
   la::Matrix reconstruction = p * vk.transposed();
   if (transposed) reconstruction = reconstruction.transposed();
-
-  const auto delta_values = codecs.delta->decompress(delta_section.bytes);
-  sim::Field out = sim::Field::from_data(container.nx, container.ny,
-                                         container.nz, delta_values);
-  return add(out, matrix_to_field(reconstruction, container.nx, container.ny,
-                                  container.nz));
+  add_reconstruction(out, reconstruction.flat(), "svd");
+  return out;
 }
 
 }  // namespace rmp::core

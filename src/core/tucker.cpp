@@ -4,10 +4,11 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/pca.hpp"  // components_for_target
+#include "core/pca.hpp"  // spectrum_proportions, leading_columns
 #include "core/precond_error.hpp"
 #include "core/reshape.hpp"
 #include "core/serialize.hpp"
+#include "io/container_error.hpp"
 #include "la/eigen.hpp"
 #include "obs/obs.hpp"
 
@@ -93,33 +94,13 @@ std::vector<double> mode_multiply(const std::vector<double>& t,
   return out;
 }
 
-// Leading-k eigenvector block, transposed into a (k x n) projection.
-la::Matrix projection_of(const la::EigenDecomposition& eig, std::size_t k) {
-  la::Matrix p(k, eig.vectors.rows());
-  for (std::size_t r = 0; r < k; ++r) {
-    for (std::size_t c = 0; c < eig.vectors.rows(); ++c) {
-      p(r, c) = eig.vectors(c, r);
-    }
-  }
-  return p;
-}
-
+// Per-mode singular values (square roots of the Gram eigenvalues) as
+// proportions of their sum.
 std::vector<double> sigma_proportions(const la::EigenDecomposition& eig) {
   std::vector<double> sigma;
   sigma.reserve(eig.values.size());
-  double total = 0.0;
-  for (double v : eig.values) {
-    const double s = std::sqrt(std::max(v, 0.0));
-    sigma.push_back(s);
-    total += s;
-  }
-  if (total <= 0.0) {
-    std::vector<double> proportions(sigma.size(), 0.0);
-    if (!proportions.empty()) proportions[0] = 1.0;
-    return proportions;
-  }
-  for (double& s : sigma) s /= total;
-  return sigma;
+  for (double v : eig.values) sigma.push_back(std::sqrt(std::max(v, 0.0)));
+  return spectrum_proportions(sigma, /*first_carries_degenerate=*/true);
 }
 
 Shape3 canonical_shape(const sim::Field& field) {
@@ -184,7 +165,8 @@ io::Container TuckerPreconditioner::encode(const sim::Field& field,
                                   " rank selection produced no components");
     }
     ranks[mode] = k;
-    factors[mode] = projection_of(eig, k);
+    // Leading-k eigenvectors, transposed into a (k x n) projection.
+    factors[mode] = leading_columns(eig.vectors, k).transposed();
   }
 
   // Core tensor: project along every mode.
@@ -196,50 +178,29 @@ io::Container TuckerPreconditioner::encode(const sim::Field& field,
     core_shape = next;
   }
 
-  const auto core_bytes =
+  auto core_bytes =
       traced_compress(*codecs.reduced, "reduced-compress", core,
                       {core_shape.d0, core_shape.d1, core_shape.d2});
 
-  // Reconstruction (clean core, paper-style) and delta.
+  // Reconstruction (clean core, paper-style), turned into the delta.
   Shape3 recon_shape = core_shape;
-  std::vector<double> recon = core;
+  std::vector<double> delta = core;
   for (unsigned mode = 0; mode < 3; ++mode) {
     Shape3 next{};
-    recon = mode_multiply(recon, recon_shape, mode,
+    delta = mode_multiply(delta, recon_shape, mode,
                           factors[mode].transposed(), next);
     recon_shape = next;
   }
-  sim::Field delta = field;
-  {
-    auto d = delta.flat();
-    for (std::size_t n = 0; n < d.size(); ++n) d[n] -= recon[n];
-  }
+  delta_in_place(field, delta);
 
-  io::Container container;
-  container.method = name();
-  container.nx = field.nx();
-  container.ny = field.ny();
-  container.nz = field.nz();
-  container.add("core", core_bytes);
-  container.add("u0", matrix_to_bytes(factors[0]));
-  container.add("u1", matrix_to_bytes(factors[1]));
-  container.add("u2", matrix_to_bytes(factors[2]));
-  container.add("delta",
-                traced_compress(*codecs.delta, "delta-compress", delta.flat(),
-                                {field.nx(), field.ny(), field.nz()}));
   const std::uint64_t meta[6] = {ranks[0], ranks[1], ranks[2],
                                  shape.d0,  shape.d1, shape.d2};
-  container.add("meta", u64s_to_bytes(meta));
-
-  fill_stats(container, field.size(), stats);
-  if (stats != nullptr) {
-    stats->reduced_bytes = container.find("core")->bytes.size() +
-                           container.find("u0")->bytes.size() +
-                           container.find("u1")->bytes.size() +
-                           container.find("u2")->bytes.size();
-    stats->delta_bytes = container.find("delta")->bytes.size();
-  }
-  return container;
+  return reduced_model_container(name(), field,
+                                 {{"core", std::move(core_bytes)},
+                                  {"u0", matrix_to_bytes(factors[0])},
+                                  {"u1", matrix_to_bytes(factors[1])},
+                                  {"u2", matrix_to_bytes(factors[2])}},
+                                 delta, meta, codecs, stats);
 }
 
 sim::Field TuckerPreconditioner::decode(const io::Container& container,
@@ -247,10 +208,10 @@ sim::Field TuckerPreconditioner::decode(const io::Container& container,
                                         const sim::Field*) const {
   const obs::ScopedSpan span("tucker");
   const auto& core_section = require_section(container, "core", "tucker");
-  const auto& delta_section = require_section(container, "delta", "tucker");
   const auto& meta_section = require_section(container, "meta", "tucker");
   const auto meta = bytes_to_u64s(meta_section.bytes);
   const Shape3 core_shape{meta.at(0), meta.at(1), meta.at(2)};
+  sim::Field out = decode_delta(container, codecs, "tucker");
 
   std::array<la::Matrix, 3> factors;
   for (unsigned mode = 0; mode < 3; ++mode) {
@@ -260,6 +221,32 @@ sim::Field TuckerPreconditioner::decode(const io::Container& container,
   }
 
   std::vector<double> recon = codecs.reduced->decompress(core_section.bytes);
+  // Core and factor shapes are stream-controlled: they must chain up to
+  // the header's cells before mode_multiply indexes with them.
+  const auto malformed = [](const std::string& section) {
+    return io::ContainerError(io::ContainerErrc::kSectionMalformed,
+                              "tucker decode: core/factor shapes disagree",
+                              section);
+  };
+  const std::size_t core_extents[3] = {core_shape.d0, core_shape.d1,
+                                       core_shape.d2};
+  for (unsigned mode = 0; mode < 3; ++mode) {
+    if (factors[mode].rows() != core_extents[mode]) {
+      throw malformed("u" + std::to_string(mode));
+    }
+  }
+  if (recon.size() != la::checked_cells(la::checked_cells(core_shape.d0,
+                                                          core_shape.d1),
+                                        core_shape.d2)) {
+    throw malformed("core");
+  }
+  if (la::checked_cells(la::checked_cells(factors[0].cols(),
+                                          factors[1].cols()),
+                        factors[2].cols()) !=
+      la::checked_cells(la::checked_cells(container.nx, container.ny),
+                        container.nz)) {
+    throw malformed("meta");
+  }
   Shape3 shape = core_shape;
   for (unsigned mode = 0; mode < 3; ++mode) {
     Shape3 next{};
@@ -267,18 +254,8 @@ sim::Field TuckerPreconditioner::decode(const io::Container& container,
                           next);
     shape = next;
   }
-
-  const auto delta_values = codecs.delta->decompress(delta_section.bytes);
-  if (delta_values.size() != recon.size()) {
-    throw io::ContainerError(io::ContainerErrc::kSectionMalformed,
-                             "tucker decode: delta size mismatch", "delta");
-  }
-  std::vector<double> values(recon.size());
-  for (std::size_t n = 0; n < values.size(); ++n) {
-    values[n] = recon[n] + delta_values[n];
-  }
-  return sim::Field::from_data(container.nx, container.ny, container.nz,
-                               std::move(values));
+  add_reconstruction(out, recon, "tucker");
+  return out;
 }
 
 }  // namespace rmp::core

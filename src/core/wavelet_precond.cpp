@@ -38,37 +38,23 @@ io::Container WaveletPreconditioner::encode(const sim::Field& field,
   wavelet::threshold_coefficients(coeffs, theta);
 
   const la::CsrMatrix sparse = la::CsrMatrix::from_dense(coeffs);
-  const auto sparse_bytes = compress::lossless_compress(sparse.serialize());
 
-  // Reconstruction from the thresholded coefficients.
-  la::Matrix recon = coeffs;
+  // Reconstruction from the thresholded coefficients, turned into the
+  // delta in place.
+  la::Matrix delta = std::move(coeffs);
   if (use_3d) {
-    wavelet::haar_inverse_3d(recon.flat(), field.nx(), field.ny(),
+    wavelet::haar_inverse_3d(delta.flat(), field.nx(), field.ny(),
                              field.nz());
   } else {
-    wavelet::haar_inverse_2d(recon);
+    wavelet::haar_inverse_2d(delta);
   }
-  const sim::Field delta = subtract(
-      field, matrix_to_field(recon, field.nx(), field.ny(), field.nz()));
+  delta_in_place(field, delta.flat());
 
-  io::Container container;
-  container.method = name();
-  container.nx = field.nx();
-  container.ny = field.ny();
-  container.nz = field.nz();
-  container.add("sparse", sparse_bytes);
-  container.add("delta",
-                traced_compress(*codecs.delta, "delta-compress", delta.flat(),
-                                {field.nx(), field.ny(), field.nz()}));
   const std::uint64_t meta[1] = {use_3d ? 1u : 0u};
-  container.add("meta", u64s_to_bytes(meta));
-
-  fill_stats(container, field.size(), stats);
-  if (stats != nullptr) {
-    stats->reduced_bytes = container.find("sparse")->bytes.size();
-    stats->delta_bytes = container.find("delta")->bytes.size();
-  }
-  return container;
+  return reduced_model_container(
+      name(), field,
+      {{"sparse", compress::lossless_compress(sparse.serialize())}},
+      delta.flat(), meta, codecs, stats);
 }
 
 sim::Field WaveletPreconditioner::decode(const io::Container& container,
@@ -76,7 +62,7 @@ sim::Field WaveletPreconditioner::decode(const io::Container& container,
                                          const sim::Field*) const {
   const obs::ScopedSpan span("wavelet");
   const auto& sparse_section = require_section(container, "sparse", "wavelet");
-  const auto& delta_section = require_section(container, "delta", "wavelet");
+  sim::Field out = decode_delta(container, codecs, "wavelet");
   const auto raw = compress::lossless_decompress(sparse_section.bytes);
   const la::CsrMatrix sparse = la::CsrMatrix::deserialize(raw.data(), raw.size());
 
@@ -93,12 +79,8 @@ sim::Field WaveletPreconditioner::decode(const io::Container& container,
   } else {
     wavelet::haar_inverse_2d(recon);
   }
-
-  const auto delta_values = codecs.delta->decompress(delta_section.bytes);
-  sim::Field out = sim::Field::from_data(container.nx, container.ny,
-                                         container.nz, delta_values);
-  return add(out, matrix_to_field(recon, container.nx, container.ny,
-                                  container.nz));
+  add_reconstruction(out, recon.flat(), "wavelet");
+  return out;
 }
 
 }  // namespace rmp::core

@@ -15,6 +15,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "compress/codec_error.hpp"
 #include "core/chunk_fetch.hpp"
 #include "core/guard.hpp"
 #include "core/pipeline.hpp"
@@ -759,6 +760,11 @@ void Server::process_job(Job& job) {
       status = Status::kIoError;
     }
     send_error(job.session, header.request_id, status, e.what());
+    job_finished(false, job.bytes);
+  } catch (const compress::CodecError& e) {
+    // A codec stream that does not parse is damaged archive bytes.
+    send_error(job.session, header.request_id, Status::kIntegrityError,
+               e.what());
     job_finished(false, job.bytes);
   } catch (const core::PreconditionError& e) {
     send_error(job.session, header.request_id, Status::kPreconditionError,

@@ -4,19 +4,12 @@
 
 #include <cmath>
 
-#include "compress/factory.hpp"
 #include "core/pipeline.hpp"
 #include "sim/heat.hpp"
 #include "stats/metrics.hpp"
 
 namespace rmp::core {
 namespace {
-
-struct Codecs {
-  std::unique_ptr<compress::Compressor> reduced = compress::make_zfp_original();
-  std::unique_ptr<compress::Compressor> delta = compress::make_zfp_delta();
-  CodecPair pair() const { return {reduced.get(), delta.get()}; }
-};
 
 sim::Field heat_field() {
   sim::HeatConfig config;
@@ -29,7 +22,7 @@ sim::Field heat_field() {
 class BlockedInnerSweep : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(BlockedInnerSweep, RoundTripWithinError) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   BlockedPreconditioner blocked(GetParam(), 4);
   const sim::Field f = heat_field();
   const auto container = blocked.encode(f, codecs.pair(), nullptr);
@@ -42,7 +35,7 @@ INSTANTIATE_TEST_SUITE_P(Inners, BlockedInnerSweep,
                                            "wavelet", "tucker"));
 
 TEST(Blocked, RegistryDispatch) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   const sim::Field f = heat_field();
   const auto blocked = make_preconditioner("blocked-svd");
   EXPECT_EQ(blocked->name(), "blocked-svd");
@@ -52,7 +45,7 @@ TEST(Blocked, RegistryDispatch) {
 }
 
 TEST(Blocked, PartitionCountClampedToRows) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   BlockedPreconditioner blocked("identity", 1000);
   sim::Field tiny(6, 4, 1);
   for (std::size_t n = 0; n < tiny.size(); ++n) {
@@ -64,7 +57,7 @@ TEST(Blocked, PartitionCountClampedToRows) {
 }
 
 TEST(Blocked, StatsAggregateAcrossBlocks) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   BlockedPreconditioner blocked("svd", 3);
   EncodeStats stats;
   blocked.encode(heat_field(), codecs.pair(), &stats);
@@ -81,7 +74,7 @@ TEST(Blocked, RejectsNesting) {
 }
 
 TEST(Blocked, DecodeRejectsMissingSections) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   BlockedPreconditioner blocked("pca", 2);
   io::Container empty;
   empty.method = "blocked-pca";

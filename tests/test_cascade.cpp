@@ -4,19 +4,12 @@
 
 #include <cmath>
 
-#include "compress/factory.hpp"
 #include "core/pipeline.hpp"
 #include "sim/heat.hpp"
 #include "stats/metrics.hpp"
 
 namespace rmp::core {
 namespace {
-
-struct Codecs {
-  std::unique_ptr<compress::Compressor> reduced = compress::make_zfp_original();
-  std::unique_ptr<compress::Compressor> delta = compress::make_zfp_delta();
-  CodecPair pair() const { return {reduced.get(), delta.get()}; }
-};
 
 sim::Field heat_field() {
   sim::HeatConfig config;
@@ -32,7 +25,7 @@ TEST(Cascade, NameComposition) {
 }
 
 TEST(Cascade, RoundTripOneBaseThenPca) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   CascadePreconditioner cascade("one-base", "pca");
   const sim::Field f = heat_field();
   const auto container = cascade.encode(f, codecs.pair(), nullptr);
@@ -41,7 +34,7 @@ TEST(Cascade, RoundTripOneBaseThenPca) {
 }
 
 TEST(Cascade, RoundTripPcaThenWavelet) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   CascadePreconditioner cascade("pca", "wavelet");
   const sim::Field f = heat_field();
   const auto container = cascade.encode(f, codecs.pair(), nullptr);
@@ -50,7 +43,7 @@ TEST(Cascade, RoundTripPcaThenWavelet) {
 }
 
 TEST(Cascade, RegistryDispatchesSpecString) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   const sim::Field f = heat_field();
   const auto cascade = make_preconditioner("one-base>svd");
   EXPECT_EQ(cascade->name(), "one-base>svd");
@@ -63,7 +56,7 @@ TEST(Cascade, RegistryDispatchesSpecString) {
 TEST(Cascade, StageOneStoresOnlyReducedRep) {
   // The nested stage-1 container's delta is the 8-byte null stream, so
   // the cascade's total size is stage-1 reduced + stage-2 everything.
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   CascadePreconditioner cascade("one-base", "identity");
   EncodeStats cascade_stats, plain_stats;
   const sim::Field f = heat_field();
@@ -86,7 +79,7 @@ TEST(Cascade, RejectsMalformedSpecs) {
 }
 
 TEST(Cascade, DecodeRejectsMissingStages) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   CascadePreconditioner cascade("pca", "svd");
   io::Container empty;
   empty.method = "pca>svd";

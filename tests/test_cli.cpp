@@ -19,6 +19,9 @@
 #include <thread>
 #include <vector>
 
+#include "compress/codec_error.hpp"
+#include "core/preconditioner.hpp"
+#include "io/container.hpp"
 #include "tools/exit_codes.hpp"
 
 namespace {
@@ -528,6 +531,36 @@ TEST_F(CliTest, IntegrityFailuresExitWithCode4) {
   EXPECT_EQ(WEXITSTATUS(status), 4);
 }
 
+// A delta stream that parses but holds the wrong number of cells, or one
+// cut short under a valid container CRC, is damaged archive bytes: exit 4
+// (not a usage error, not an internal one).
+TEST_F(CliTest, MalformedDeltaStreamsExitWithCode4) {
+  const auto field = rmp::sim::Field::from_data(16, 16, 16, data_);
+  for (const std::string codec : {"zfp", "sz"}) {
+    const auto codecs = rmp::core::make_codecs(codec);
+    rmp::io::Container container =
+        rmp::core::make_preconditioner("pca")->encode(field, codecs.pair());
+    for (auto& section : container.sections) {
+      if (section.name != "delta") continue;
+      if (codec == "zfp") {
+        const std::vector<double> half(16 * 16 * 8, 0.5);
+        section.bytes = codecs.delta->compress(half, {16, 16, 8});
+      } else {
+        section.bytes.resize(section.bytes.size() / 2);
+      }
+    }
+    const fs::path archive = dir_ / ("bad_delta_" + codec + ".rmp");
+    const auto bytes = rmp::io::serialize(container);
+    std::ofstream(archive, std::ios::binary)
+        .write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+    const int status = run_rmpc("decompress " + quoted(archive) + " " +
+                                quoted(dir_ / "out.f64") + " --codec " + codec);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 4) << codec;
+  }
+}
+
 // Exit code 9 (server shutting down) is distinct from the transient
 // BUSY class 7: scripts wait for a restart on 9 but back off and retry
 // on 7.  The full mapping is locked at the unit level since timing a
@@ -551,6 +584,9 @@ TEST(CliExitCodes, ShutdownAndBusyAreDistinctCodes) {
   EXPECT_EQ(rmp::tools::exit_code_for(
                 RemoteError(Status::kDeadlineExceeded, "late")),
             6);
+  EXPECT_EQ(rmp::tools::exit_code_for(rmp::compress::CodecError(
+                rmp::compress::CodecErrc::kTruncated, "cut short")),
+            4);
 }
 
 #ifdef RMPD_BINARY

@@ -6,18 +6,11 @@
 
 #include <cmath>
 
-#include "compress/factory.hpp"
 #include "core/pipeline.hpp"
 #include "core/serialize.hpp"
 
 namespace rmp::core {
 namespace {
-
-struct Codecs {
-  std::unique_ptr<compress::Compressor> reduced = compress::make_zfp_original();
-  std::unique_ptr<compress::Compressor> delta = compress::make_zfp_delta();
-  CodecPair pair() const { return {reduced.get(), delta.get()}; }
-};
 
 sim::Field field3d() {
   sim::Field f(8, 8, 8);
@@ -30,7 +23,7 @@ sim::Field field3d() {
 class DecodeErrors : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(DecodeErrors, EmptyContainerThrows) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   const auto preconditioner = make_preconditioner(GetParam());
   io::Container empty;
   empty.method = GetParam();
@@ -49,7 +42,7 @@ bool section_is_advisory(const std::string& method,
 }
 
 TEST_P(DecodeErrors, DroppingAnySectionThrows) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   const auto preconditioner = make_preconditioner(GetParam());
   const io::Container complete =
       preconditioner->encode(field3d(), codecs.pair(), nullptr);
@@ -67,7 +60,7 @@ TEST_P(DecodeErrors, DroppingAnySectionThrows) {
 }
 
 TEST_P(DecodeErrors, CorruptedSectionBytesThrow) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   const auto preconditioner = make_preconditioner(GetParam());
   io::Container container =
       preconditioner->encode(field3d(), codecs.pair(), nullptr);
@@ -88,7 +81,7 @@ TEST_P(DecodeErrors, CorruptedSectionBytesThrow) {
 // rows * cols * 8 wraps to zero, a pca-part meta with no rows, and
 // blocked metas whose block count or grid disagrees with the container.
 TEST_P(DecodeErrors, HostileShapesThrowInsteadOfCrashing) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   const auto preconditioner = make_preconditioner(GetParam());
   const io::Container complete =
       preconditioner->encode(field3d(), codecs.pair(), nullptr);
@@ -123,6 +116,25 @@ TEST_P(DecodeErrors, HostileShapesThrowInsteadOfCrashing) {
     }
   }
   if (GetParam() == "pca-part") expect_throw("meta", no_rows, true);
+  // A slab count far beyond nz must not size the slab table.
+  const std::uint64_t huge_count[1] = {std::uint64_t{1} << 40};
+  if (GetParam() == "multi-base") expect_throw("meta", huge_count, true);
+  // A tucker core shape the core stream does not hold.
+  const std::uint64_t huge_core[6] = {64, 64, 64, 8, 8, 8};
+  if (GetParam() == "tucker") expect_throw("meta", huge_core, true);
+
+  // Every decoder's delta must hold exactly nx*ny*nz cells: a valid
+  // delta stream of half the cells is malformed, not an out-of-bounds
+  // read or a usage error.
+  if (complete.find("delta") != nullptr) {
+    const std::vector<double> half(8 * 8 * 4, 0.5);
+    io::Container mutated = complete;
+    for (auto& s : mutated.sections) {
+      if (s.name == "delta") s.bytes = codecs.delta->compress(half, {8, 8, 4});
+    }
+    EXPECT_THROW(preconditioner->decode(mutated, codecs.pair(), nullptr),
+                 io::ContainerError);
+  }
   if (GetParam().rfind("blocked-", 0) == 0) {
     expect_throw("meta", no_blocks, true);
     expect_throw("meta", oversized, true);
@@ -141,7 +153,7 @@ TEST_P(DecodeErrors, HostileShapesThrowInsteadOfCrashing) {
 
 TEST_P(DecodeErrors, RoundTripStillWorksAfterNegativeTests) {
   // Guard against the negative tests hiding a broken happy path.
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   const auto preconditioner = make_preconditioner(GetParam());
   const sim::Field f = field3d();
   const auto container = preconditioner->encode(f, codecs.pair(), nullptr);
@@ -163,7 +175,7 @@ INSTANTIATE_TEST_SUITE_P(AllMethods, DecodeErrors,
                          });
 
 TEST(DecodeErrors, ReconstructRejectsUnknownMethod) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   io::Container container;
   container.method = "martian";
   EXPECT_THROW(reconstruct(container, codecs.pair()), std::invalid_argument);

@@ -10,7 +10,6 @@
 #include <fstream>
 #include <random>
 
-#include "compress/factory.hpp"
 #include "core/pipeline.hpp"
 #include "fault_injection.hpp"
 #include "io/checksum.hpp"
@@ -20,12 +19,6 @@
 
 namespace rmp::core {
 namespace {
-
-struct Codecs {
-  std::unique_ptr<compress::Compressor> reduced = compress::make_zfp_original();
-  std::unique_ptr<compress::Compressor> delta = compress::make_zfp_delta();
-  CodecPair pair() const { return {reduced.get(), delta.get()}; }
-};
 
 sim::Field field3d() {
   sim::Field f(8, 8, 8);
@@ -50,7 +43,7 @@ bool sections_equal(const io::Container& a, const io::Container& b) {
 
 class FaultInjection : public ::testing::TestWithParam<std::string> {
  protected:
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   io::Container encoded() {
     const auto preconditioner = make_preconditioner(GetParam());
     return preconditioner->encode(field3d(), codecs.pair(), nullptr);
@@ -271,7 +264,7 @@ std::vector<std::uint8_t> serialize_v2(const io::Container& container) {
 }
 
 TEST(FaultInjectionV2Compat, LegacyArchivesStillRoundTrip) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   for (const auto& method : preconditioner_names()) {
     const auto preconditioner = make_preconditioner(method);
     const auto container =
@@ -537,7 +530,7 @@ TEST(VfsFaultSpec, ParsesTheDocumentedGrammar) {
 }
 
 TEST(FaultInjectionV2Compat, FlippedV2ByteStillDetected) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   const auto preconditioner = make_preconditioner("pca");
   const auto container =
       preconditioner->encode(field3d(), codecs.pair(), nullptr);

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <limits>
 
-#include "compress/factory.hpp"
 #include "core/guard.hpp"
 #include "core/pca.hpp"
 #include "core/pipeline.hpp"
@@ -20,12 +19,6 @@ namespace {
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-struct Codecs {
-  std::unique_ptr<compress::Compressor> reduced = compress::make_sz_original();
-  std::unique_ptr<compress::Compressor> delta = compress::make_sz_delta();
-  CodecPair pair() const { return {reduced.get(), delta.get()}; }
-};
 
 sim::Field sedov_field() {
   sim::SedovConfig config;
@@ -168,7 +161,7 @@ TEST(GuardProvenanceCodec, RoundTripsAllFields) {
 }
 
 TEST(GuardedEncode, CleanFieldKeepsRequestedModel) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("sz");
   const sim::Field f = sedov_field();
   GuardOptions options;
   options.method = "pca";
@@ -185,7 +178,7 @@ TEST(GuardedEncode, CleanFieldKeepsRequestedModel) {
 // under --guard with the bound satisfied on finite cells and the
 // nonfinite cells restored bit-exactly through the stock reconstruct().
 TEST(GuardedEncode, SpeckledSedovSatisfiesBoundAndRestoresBitExact) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("sz");
   sim::Field f = sedov_field();
   f.flat()[101] = payload_nan();
   f.flat()[999] = kInf;
@@ -214,7 +207,7 @@ TEST(GuardedEncode, SpeckledSedovSatisfiesBoundAndRestoresBitExact) {
 }
 
 TEST(GuardedEncode, EigenNonConvergenceDemotesToIdentity) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("sz");
   const sim::Field f = sedov_field();
   GuardOptions options;
   options.method = "pca";
@@ -245,7 +238,7 @@ TEST(GuardedEncode, EigenNonConvergenceDemotesToIdentity) {
 }
 
 TEST(GuardedEncode, ZeroBoundDemotesToLosslessRaw) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("sz");
   const sim::Field f = sedov_field();
   GuardOptions options;
   options.method = "pca";
@@ -263,7 +256,7 @@ TEST(GuardedEncode, ZeroBoundDemotesToLosslessRaw) {
 }
 
 TEST(GuardedEncode, EmptyFieldIsATypedError) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("sz");
   const sim::Field empty(0, 0, 0);
   try {
     guarded_encode(empty, codecs.pair());
@@ -274,7 +267,7 @@ TEST(GuardedEncode, EmptyFieldIsATypedError) {
 }
 
 TEST(GuardedEncode, UnknownMethodIsACallerBug) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("sz");
   const sim::Field f(4, 4, 1, 1.0);
   GuardOptions options;
   options.method = "no-such-model";
@@ -285,7 +278,7 @@ TEST(GuardedEncode, UnknownMethodIsACallerBug) {
 TEST(GuardedEncode, PreGuardArchivesDecodeUnchanged) {
   // A container produced without the guard has no nanmask/guard sections;
   // reconstruct() must treat it exactly as before.
-  Codecs codecs;
+  const Codecs codecs = make_codecs("sz");
   const sim::Field f = sedov_field();
   const auto p = make_preconditioner("pca");
   const auto container = p->encode(f, codecs.pair(), nullptr);

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "compress/factory.hpp"
 #include "core/guard.hpp"
 #include "core/pipeline.hpp"
 #include "core/preconditioner.hpp"
@@ -22,19 +21,6 @@ namespace {
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-struct Codecs {
-  std::unique_ptr<compress::Compressor> reduced;
-  std::unique_ptr<compress::Compressor> delta;
-  CodecPair pair() const { return {reduced.get(), delta.get()}; }
-};
-
-Codecs make_codecs(const std::string& family) {
-  if (family == "sz") {
-    return {compress::make_sz_original(), compress::make_sz_delta()};
-  }
-  return {compress::make_zfp_original(), compress::make_zfp_delta()};
-}
 
 struct DegenerateCase {
   std::string name;

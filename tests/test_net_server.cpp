@@ -192,6 +192,27 @@ TEST(NetServer, DamagedContainerYieldsIntegrityStatus) {
   }
 }
 
+// A codec stream cut short under a valid container CRC is damaged archive
+// bytes, answered as an integrity error rather than an internal one.
+TEST(NetServer, TruncatedDeltaStreamYieldsIntegrityStatus) {
+  Server server(ServerOptions{});
+  server.start();
+  Client client(client_options(server));
+  io::Container container =
+      io::deserialize(client.encode(small_encode_request()).container);
+  for (auto& section : container.sections) {
+    if (section.name == "delta") section.bytes.resize(section.bytes.size() / 2);
+  }
+  net::DecodeRequest request;
+  request.container = io::serialize(container);
+  try {
+    (void)client.decode(request);
+    FAIL() << "truncated delta decoded";
+  } catch (const RemoteError& e) {
+    EXPECT_EQ(e.status(), Status::kIntegrityError) << e.what();
+  }
+}
+
 TEST(NetServer, SaturationYieldsTypedBusy) {
   // One worker stalled 600 ms per job + a queue of one: the first request
   // occupies the worker, the second fills the queue, the third must be

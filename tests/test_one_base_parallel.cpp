@@ -4,19 +4,12 @@
 
 #include <cmath>
 
-#include "compress/factory.hpp"
 #include "core/projection.hpp"
 #include "sim/heat.hpp"
 #include "stats/metrics.hpp"
 
 namespace rmp::core {
 namespace {
-
-struct Codecs {
-  std::unique_ptr<compress::Compressor> reduced = compress::make_zfp_original();
-  std::unique_ptr<compress::Compressor> delta = compress::make_zfp_delta();
-  CodecPair pair() const { return {reduced.get(), delta.get()}; }
-};
 
 sim::Field heat_field(std::size_t n = 16) {
   sim::HeatConfig config;
@@ -26,7 +19,7 @@ sim::Field heat_field(std::size_t n = 16) {
 }
 
 TEST(OneBaseParallel, RoundTripAcrossRankCounts) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   const sim::Field f = heat_field();
   for (int ranks : {1, 2, 3, 4, 5}) {
     const auto encoded = one_base_encode_parallel(f, codecs.pair(), ranks);
@@ -41,7 +34,7 @@ TEST(OneBaseParallel, RoundTripAcrossRankCounts) {
 }
 
 TEST(OneBaseParallel, MatchesSerialOneBaseQuality) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   const sim::Field f = heat_field();
 
   OneBasePreconditioner serial;
@@ -61,7 +54,7 @@ TEST(OneBaseParallel, MatchesSerialOneBaseQuality) {
 }
 
 TEST(OneBaseParallel, TotalBytesAccounting) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   const sim::Field f = heat_field();
   const auto encoded = one_base_encode_parallel(f, codecs.pair(), 3);
   std::size_t expected = encoded.plane_bytes.size();
@@ -73,7 +66,7 @@ TEST(OneBaseParallel, TotalBytesAccounting) {
 }
 
 TEST(OneBaseParallel, CompressionComparableToSerial) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   const sim::Field f = heat_field();
 
   EncodeStats serial_stats;
@@ -85,7 +78,7 @@ TEST(OneBaseParallel, CompressionComparableToSerial) {
 }
 
 TEST(OneBaseParallel, RejectsBadInput) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   const sim::Field f1(64, 1, 1);
   EXPECT_THROW(one_base_encode_parallel(f1, codecs.pair(), 2),
                std::invalid_argument);
@@ -97,7 +90,7 @@ TEST(OneBaseParallel, RejectsBadInput) {
 }
 
 TEST(OneBaseParallel, DecodeValidatesRankCount) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   const sim::Field f = heat_field();
   const auto encoded = one_base_encode_parallel(f, codecs.pair(), 2);
   EXPECT_THROW(one_base_decode_parallel(encoded, codecs.pair(), 3),

@@ -6,7 +6,6 @@
 
 #include <cmath>
 
-#include "compress/factory.hpp"
 #include "core/pca.hpp"
 #include "core/pipeline.hpp"
 #include "sim/datasets.hpp"
@@ -17,18 +16,6 @@ namespace {
 
 constexpr double kScale = 0.4;  // small but structurally representative
 
-struct Codecs {
-  std::unique_ptr<compress::Compressor> sz_reduced =
-      compress::make_sz_original();
-  std::unique_ptr<compress::Compressor> sz_delta = compress::make_sz_delta();
-  std::unique_ptr<compress::Compressor> zfp_reduced =
-      compress::make_zfp_original();
-  std::unique_ptr<compress::Compressor> zfp_delta =
-      compress::make_zfp_delta();
-  CodecPair sz() const { return {sz_reduced.get(), sz_delta.get()}; }
-  CodecPair zfp() const { return {zfp_reduced.get(), zfp_delta.get()}; }
-};
-
 double ratio_of(const std::string& method, const sim::Field& field,
                 const CodecPair& codecs) {
   EncodeStats stats;
@@ -37,48 +24,49 @@ double ratio_of(const std::string& method, const sim::Field& field,
 }
 
 TEST(PaperShapes, Fig3OneBaseLiftsLossyCodecsOnHeat3d) {
-  Codecs codecs;
+  const Codecs sz = make_codecs("sz");
+  const Codecs zfp = make_codecs("zfp");
   const auto pair = sim::make_dataset(sim::DatasetId::kHeat3d, kScale);
   // Paper: ZFP 4x -> >15x, SZ 17x -> >40x; shape = multiples, not values.
-  EXPECT_GT(ratio_of("one-base", pair.full, codecs.zfp()),
-            1.5 * ratio_of("identity", pair.full, codecs.zfp()));
-  EXPECT_GT(ratio_of("one-base", pair.full, codecs.sz()),
-            1.5 * ratio_of("identity", pair.full, codecs.sz()));
+  EXPECT_GT(ratio_of("one-base", pair.full, zfp.pair()),
+            1.5 * ratio_of("identity", pair.full, zfp.pair()));
+  EXPECT_GT(ratio_of("one-base", pair.full, sz.pair()),
+            1.5 * ratio_of("identity", pair.full, sz.pair()));
 }
 
 TEST(PaperShapes, Fig3OneBaseBeatsMultiBase) {
   // §IV-B: multi-base's extra stored planes offset its better deltas.
-  Codecs codecs;
+  const Codecs zfp = make_codecs("zfp");
   const auto pair = sim::make_dataset(sim::DatasetId::kHeat3d, kScale);
-  EXPECT_GE(ratio_of("one-base", pair.full, codecs.zfp()),
-            ratio_of("multi-base", pair.full, codecs.zfp()));
+  EXPECT_GE(ratio_of("one-base", pair.full, zfp.pair()),
+            ratio_of("multi-base", pair.full, zfp.pair()));
 }
 
 TEST(PaperShapes, Fig6PcaSvdLiftHeat3dAndLaplace) {
-  Codecs codecs;
+  const Codecs zfp = make_codecs("zfp");
   for (sim::DatasetId id :
        {sim::DatasetId::kHeat3d, sim::DatasetId::kLaplace}) {
     const auto pair = sim::make_dataset(id, kScale);
-    const double direct = ratio_of("identity", pair.full, codecs.zfp());
-    EXPECT_GT(ratio_of("pca", pair.full, codecs.zfp()), direct)
+    const double direct = ratio_of("identity", pair.full, zfp.pair());
+    EXPECT_GT(ratio_of("pca", pair.full, zfp.pair()), direct)
         << sim::dataset_name(id);
   }
 }
 
 TEST(PaperShapes, Fig6FishLosesUnderEveryPreconditioner) {
   // §V-B.1: Fish's exact zeros become less-compressible near-zero deltas.
-  Codecs codecs;
+  const Codecs zfp = make_codecs("zfp");
   const auto pair = sim::make_dataset(sim::DatasetId::kFish, kScale);
-  const double direct = ratio_of("identity", pair.full, codecs.zfp());
+  const double direct = ratio_of("identity", pair.full, zfp.pair());
   for (const char* method : {"pca", "svd", "wavelet"}) {
-    EXPECT_LT(ratio_of(method, pair.full, codecs.zfp()), direct) << method;
+    EXPECT_LT(ratio_of(method, pair.full, zfp.pair()), direct) << method;
   }
 }
 
 TEST(PaperShapes, Fig7Pc1DominanceTracksImprovement) {
   // The paper's rule: the more dominant PC1, the bigger the PCA win.
   // Heat3d (PC1 ~ 1.0) must improve; Umbrella (PC1 ~ 0.37) must not.
-  Codecs codecs;
+  const Codecs zfp = make_codecs("zfp");
   const auto heat = sim::make_dataset(sim::DatasetId::kHeat3d, kScale);
   const auto md = sim::make_dataset(sim::DatasetId::kUmbrella, kScale);
 
@@ -87,30 +75,30 @@ TEST(PaperShapes, Fig7Pc1DominanceTracksImprovement) {
   ASSERT_GT(heat_pc1, md_pc1);
 
   const double heat_gain =
-      ratio_of("pca", heat.full, codecs.zfp()) /
-      ratio_of("identity", heat.full, codecs.zfp());
-  const double md_gain = ratio_of("pca", md.full, codecs.zfp()) /
-                         ratio_of("identity", md.full, codecs.zfp());
+      ratio_of("pca", heat.full, zfp.pair()) /
+      ratio_of("identity", heat.full, zfp.pair());
+  const double md_gain = ratio_of("pca", md.full, zfp.pair()) /
+                         ratio_of("identity", md.full, zfp.pair());
   EXPECT_GT(heat_gain, 1.0);
   EXPECT_GT(heat_gain, md_gain);
 }
 
 TEST(PaperShapes, Fig9WaveletReducedRepLargerThanPcaOnHeat3d) {
-  Codecs codecs;
+  const Codecs zfp = make_codecs("zfp");
   const auto pair = sim::make_dataset(sim::DatasetId::kHeat3d, kScale);
   EncodeStats pca, wavelet;
-  make_preconditioner("pca")->encode(pair.full, codecs.zfp(), &pca);
-  make_preconditioner("wavelet")->encode(pair.full, codecs.zfp(), &wavelet);
+  make_preconditioner("pca")->encode(pair.full, zfp.pair(), &pca);
+  make_preconditioner("wavelet")->encode(pair.full, zfp.pair(), &wavelet);
   EXPECT_GT(wavelet.reduced_bytes, pca.reduced_bytes);
 }
 
 TEST(PaperShapes, Fig10WaveletRmseWorstOnLaplace) {
-  Codecs codecs;
+  const Codecs zfp = make_codecs("zfp");
   const auto pair = sim::make_dataset(sim::DatasetId::kLaplace, kScale);
   const auto direct = run_pipeline(*make_preconditioner("identity"),
-                                   pair.full, codecs.zfp());
+                                   pair.full, zfp.pair());
   const auto wavelet = run_pipeline(*make_preconditioner("wavelet"),
-                                    pair.full, codecs.zfp());
+                                    pair.full, zfp.pair());
   EXPECT_GT(wavelet.rmse, direct.rmse);
 }
 
@@ -119,12 +107,12 @@ TEST(PaperShapes, Fig11PcaWinsAtMatchedRmseOnHeat3d) {
   // strongly reducible data: compare PCA@16 bits vs direct@16 bits and
   // check PCA is both more accurate *and* smaller, or trade one for a
   // clear win in the other.
-  Codecs codecs;
+  const Codecs zfp = make_codecs("zfp");
   const auto pair = sim::make_dataset(sim::DatasetId::kHeat3d, kScale);
   const auto direct = run_pipeline(*make_preconditioner("identity"),
-                                   pair.full, codecs.zfp());
+                                   pair.full, zfp.pair());
   const auto pca = run_pipeline(*make_preconditioner("pca"), pair.full,
-                                codecs.zfp());
+                                zfp.pair());
   const bool better_both = pca.stats.compression_ratio >
                                direct.stats.compression_ratio &&
                            pca.rmse <= direct.rmse * 2.0;

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <filesystem>
 
-#include "compress/factory.hpp"
 #include "core/model_select.hpp"
 #include "core/pipeline.hpp"
 #include "core/precond_error.hpp"
@@ -20,14 +19,8 @@ sim::Field heat_field() {
   return sim::heat3d_run(config);
 }
 
-struct Codecs {
-  std::unique_ptr<compress::Compressor> reduced = compress::make_sz_original();
-  std::unique_ptr<compress::Compressor> delta = compress::make_sz_delta();
-  CodecPair pair() const { return {reduced.get(), delta.get()}; }
-};
-
 TEST(Pipeline, RunPipelineFillsAllFields) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("sz");
   const sim::Field f = heat_field();
   const auto result =
       run_pipeline(*make_preconditioner("one-base"), f, codecs.pair());
@@ -40,7 +33,7 @@ TEST(Pipeline, RunPipelineFillsAllFields) {
 }
 
 TEST(Pipeline, ReconstructDispatchesOnMethod) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("sz");
   const sim::Field f = heat_field();
   for (const std::string name : {"identity", "one-base", "pca", "wavelet"}) {
     const auto p = make_preconditioner(name);
@@ -51,7 +44,7 @@ TEST(Pipeline, ReconstructDispatchesOnMethod) {
 }
 
 TEST(Pipeline, ContainerSurvivesFileRoundTrip) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("sz");
   const sim::Field f = heat_field();
   const auto p = make_preconditioner("pca");
   const auto container = p->encode(f, codecs.pair(), nullptr);
@@ -67,7 +60,7 @@ TEST(Pipeline, ContainerSurvivesFileRoundTrip) {
 }
 
 TEST(ModelSelect, PicksSmallestContainer) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("sz");
   const sim::Field f = heat_field();
   const auto selection = select_best_model(f, codecs.pair());
   ASSERT_FALSE(selection.best.empty());
@@ -79,7 +72,7 @@ TEST(ModelSelect, PicksSmallestContainer) {
 }
 
 TEST(ModelSelect, SkipsProjectionFor1dData) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("sz");
   sim::Field f(256, 1, 1);
   for (std::size_t i = 0; i < 256; ++i) {
     f.at(i) = std::sin(0.1 * static_cast<double>(i));
@@ -92,7 +85,7 @@ TEST(ModelSelect, SkipsProjectionFor1dData) {
 }
 
 TEST(ModelSelect, RmseBudgetFiltersCandidates) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("sz");
   const sim::Field f = heat_field();
   SelectionOptions options;
   options.rmse_budget = 1e9;  // everything qualifies
@@ -113,7 +106,7 @@ TEST(ModelSelect, RmseBudgetFiltersCandidates) {
 }
 
 TEST(ModelSelect, EmptyFieldIsATypedError) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("sz");
   const sim::Field empty(0, 0, 0);
   try {
     select_best_model(empty, codecs.pair());
@@ -124,7 +117,7 @@ TEST(ModelSelect, EmptyFieldIsATypedError) {
 }
 
 TEST(ModelSelect, HonorsCandidateList) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("sz");
   const sim::Field f = heat_field();
   SelectionOptions options;
   options.candidates = {"identity", "wavelet"};

@@ -5,7 +5,6 @@
 
 #include <cmath>
 
-#include "compress/factory.hpp"
 #include "core/partitioned.hpp"
 #include "core/pca.hpp"
 #include "core/projection.hpp"
@@ -16,12 +15,6 @@
 
 namespace rmp::core {
 namespace {
-
-struct Codecs {
-  std::unique_ptr<compress::Compressor> reduced = compress::make_zfp_original();
-  std::unique_ptr<compress::Compressor> delta = compress::make_zfp_delta();
-  CodecPair pair() const { return {reduced.get(), delta.get()}; }
-};
 
 const sim::Field& test_field() {
   static const sim::Field field = [] {
@@ -37,7 +30,7 @@ const sim::Field& test_field() {
 class PcaTargetSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(PcaTargetSweep, HigherTargetNeverShrinksReducedRep) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   EncodeStats low, high;
   PcaPreconditioner({GetParam(), false}).encode(test_field(), codecs.pair(),
                                                 &low);
@@ -52,7 +45,7 @@ INSTANTIATE_TEST_SUITE_P(Targets, PcaTargetSweep,
 class SvdTargetSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(SvdTargetSweep, RoundTripAtEveryTarget) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   SvdPreconditioner preconditioner({GetParam(), false});
   const auto container =
       preconditioner.encode(test_field(), codecs.pair(), nullptr);
@@ -69,7 +62,7 @@ INSTANTIATE_TEST_SUITE_P(Targets, SvdTargetSweep,
 class MultiBaseSlabSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(MultiBaseSlabSweep, MoreSlabsStoreMoreReduceDeltaError) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   EncodeStats one, many;
   MultiBasePreconditioner(1).encode(test_field(), codecs.pair(), &one);
   MultiBasePreconditioner(GetParam()).encode(test_field(), codecs.pair(),
@@ -92,7 +85,7 @@ INSTANTIATE_TEST_SUITE_P(Slabs, MultiBaseSlabSweep,
 class DuoFactorSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(DuoFactorSweep, LargerFactorStoresSmallerReducedModel) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   EncodeStats coarse, fine;
   DuoModelPreconditioner(GetParam(), true)
       .encode(test_field(), codecs.pair(), &coarse);
@@ -108,7 +101,7 @@ INSTANTIATE_TEST_SUITE_P(Factors, DuoFactorSweep,
 class WaveletThetaSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(WaveletThetaSweep, LargerThresholdSparsifiesReducedRep) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   EncodeStats tight, loose;
   WaveletPreconditioner({0.005, false})
       .encode(test_field(), codecs.pair(), &tight);
@@ -123,7 +116,7 @@ INSTANTIATE_TEST_SUITE_P(Thetas, WaveletThetaSweep,
 class PartitionSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(PartitionSweep, EveryPartitionCountRoundTrips) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   PartitionedPcaPreconditioner preconditioner({GetParam(), 0.95});
   const auto container =
       preconditioner.encode(test_field(), codecs.pair(), nullptr);

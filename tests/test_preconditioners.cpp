@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "compress/factory.hpp"
 #include "core/identity.hpp"
 #include "core/partitioned.hpp"
 #include "core/pca.hpp"
@@ -31,12 +30,6 @@ sim::Field smooth_3d_field(std::size_t n) {
   }
   return f;
 }
-
-struct Codecs {
-  std::unique_ptr<compress::Compressor> reduced = compress::make_zfp_original();
-  std::unique_ptr<compress::Compressor> delta = compress::make_zfp_delta();
-  CodecPair pair() const { return {reduced.get(), delta.get()}; }
-};
 
 double round_trip_rmse(const Preconditioner& p, const sim::Field& f,
                        const CodecPair& codecs) {
@@ -73,21 +66,21 @@ TEST(Reshape, MatrixFieldRoundTrip) {
 }
 
 TEST(Identity, RoundTripWithinCodecError) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   IdentityPreconditioner p;
   const sim::Field f = smooth_3d_field(12);
   EXPECT_LT(round_trip_rmse(p, f, codecs.pair()), 1e-2);
 }
 
 TEST(OneBase, RoundTripWithinError) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   OneBasePreconditioner p;
   const sim::Field f = smooth_3d_field(12);
   EXPECT_LT(round_trip_rmse(p, f, codecs.pair()), 5e-2);
 }
 
 TEST(OneBase, Rejects1dField) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   OneBasePreconditioner p;
   const sim::Field f(64, 1, 1);
   EXPECT_THROW(p.encode(f, codecs.pair(), nullptr), std::invalid_argument);
@@ -101,7 +94,7 @@ TEST(OneBase, BeatsIdentityOnZSimilarData) {
   config.steps = 150;
   const sim::Field f = sim::heat3d_run(config);
 
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   EncodeStats identity_stats, onebase_stats;
   IdentityPreconditioner().encode(f, codecs.pair(), &identity_stats);
   OneBasePreconditioner().encode(f, codecs.pair(), &onebase_stats);
@@ -110,14 +103,14 @@ TEST(OneBase, BeatsIdentityOnZSimilarData) {
 }
 
 TEST(MultiBase, RoundTripWithinError) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   MultiBasePreconditioner p(4);
   const sim::Field f = smooth_3d_field(12);
   EXPECT_LT(round_trip_rmse(p, f, codecs.pair()), 5e-2);
 }
 
 TEST(MultiBase, StoresMorePlanesThanOneBase) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   const sim::Field f = smooth_3d_field(16);
   EncodeStats one, multi;
   OneBasePreconditioner().encode(f, codecs.pair(), &one);
@@ -130,7 +123,7 @@ TEST(MultiBase, RejectsZeroSlabs) {
 }
 
 TEST(DuoModel, RoundTripStoredReduced) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   DuoModelPreconditioner p(2, /*store_reduced=*/true);
   const sim::Field f = smooth_3d_field(12);
   // The 8-bit delta codec dominates the residual; 0.1 is ~1% of range.
@@ -138,7 +131,7 @@ TEST(DuoModel, RoundTripStoredReduced) {
 }
 
 TEST(DuoModel, UnstoredReducedNeedsExternalField) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   DuoModelPreconditioner p(2, /*store_reduced=*/false);
   const sim::Field f = smooth_3d_field(12);
   const auto container = p.encode(f, codecs.pair(), nullptr);
@@ -151,7 +144,7 @@ TEST(DuoModel, UnstoredReducedNeedsExternalField) {
 }
 
 TEST(DuoModel, RejectsWrongExternalShape) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   DuoModelPreconditioner p(2, false);
   const sim::Field f = smooth_3d_field(12);
   const auto container = p.encode(f, codecs.pair(), nullptr);
@@ -183,14 +176,14 @@ TEST(Pca, ComponentsForTarget) {
 }
 
 TEST(Pca, RoundTripWithinError) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   PcaPreconditioner p;
   const sim::Field f = smooth_3d_field(12);
   EXPECT_LT(round_trip_rmse(p, f, codecs.pair()), 0.5);
 }
 
 TEST(Pca, WorksOn1dAnd2dFields) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   PcaPreconditioner p;
   sim::Field f1(64, 1, 1);
   for (std::size_t i = 0; i < 64; ++i) {
@@ -210,7 +203,7 @@ TEST(Pca, WorksOn1dAnd2dFields) {
 TEST(Pca, DeltaAgainstDecodedReducesRmse) {
   // Ablation: computing the delta against the decoded scores must not
   // increase the round-trip error (it cancels reduced-rep loss).
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   const sim::Field f = smooth_3d_field(12);
   PcaPreconditioner clean({0.95, false});
   PcaPreconditioner decoded({0.95, true});
@@ -240,14 +233,14 @@ TEST(Svd, SingularProportionsSumToOne) {
 }
 
 TEST(Svd, RoundTripWithinError) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   SvdPreconditioner p;
   const sim::Field f = smooth_3d_field(12);
   EXPECT_LT(round_trip_rmse(p, f, codecs.pair()), 0.5);
 }
 
 TEST(Svd, HandlesWideMatrix) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   SvdPreconditioner p;
   // 2D field with nx < ny forces the transposed SVD path.
   sim::Field f(8, 24, 1);
@@ -260,14 +253,14 @@ TEST(Svd, HandlesWideMatrix) {
 }
 
 TEST(Wavelet, RoundTripWithinError) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   WaveletPreconditioner p;
   const sim::Field f = smooth_3d_field(12);
   EXPECT_LT(round_trip_rmse(p, f, codecs.pair()), 0.5);
 }
 
 TEST(Wavelet, ThresholdZeroIsNearExactReducedModel) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   WaveletPreconditioner p({0.0});
   const sim::Field f = smooth_3d_field(8);
   // theta = 0 keeps all coefficients: reconstruction error comes only
@@ -281,14 +274,14 @@ TEST(Wavelet, RejectsBadThreshold) {
 }
 
 TEST(PartitionedPca, RoundTripWithinError) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   PartitionedPcaPreconditioner p({4, 0.95});
   const sim::Field f = smooth_3d_field(12);
   EXPECT_LT(round_trip_rmse(p, f, codecs.pair()), 0.5);
 }
 
 TEST(PartitionedPca, SinglePartitionMatchesPcaClosely) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   const sim::Field f = smooth_3d_field(10);
   const double whole = round_trip_rmse(PcaPreconditioner(), f, codecs.pair());
   const double part =
@@ -306,7 +299,7 @@ TEST(Registry, AllNamesConstructAndMatch) {
 }
 
 TEST(Stats, AccountingIsConsistent) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   EncodeStats stats;
   const sim::Field f = smooth_3d_field(12);
   PcaPreconditioner().encode(f, codecs.pair(), &stats);

@@ -4,18 +4,11 @@
 
 #include <cmath>
 
-#include "compress/factory.hpp"
 #include "core/identity.hpp"
 #include "core/pca.hpp"
 
 namespace rmp::core {
 namespace {
-
-struct Codecs {
-  std::unique_ptr<compress::Compressor> reduced = compress::make_sz_original();
-  std::unique_ptr<compress::Compressor> delta = compress::make_sz_delta();
-  CodecPair pair() const { return {reduced.get(), delta.get()}; }
-};
 
 sim::Field smooth(std::size_t n) {
   sim::Field f(n, n, n);
@@ -41,7 +34,7 @@ TEST(Quality, IdenticalFieldsAreLossless) {
 }
 
 TEST(Quality, AssessFillsEveryField) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("sz");
   IdentityPreconditioner identity;
   const sim::Field f = smooth(10);
   const auto report = assess_quality(identity, f, codecs.pair());
@@ -67,7 +60,7 @@ TEST(Quality, GradientMetricCatchesSmoothing) {
 }
 
 TEST(Quality, FormatReportContainsMethodAndRatio) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("sz");
   PcaPreconditioner pca;
   const auto report = assess_quality(pca, smooth(10), codecs.pair());
   const std::string text = format_report(report);

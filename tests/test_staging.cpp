@@ -5,7 +5,6 @@
 #include <cmath>
 #include <filesystem>
 
-#include "compress/factory.hpp"
 #include "core/pipeline.hpp"
 #include "fault_injection.hpp"
 #include "stats/metrics.hpp"
@@ -14,12 +13,6 @@ namespace rmp::core {
 namespace {
 
 namespace fs = std::filesystem;
-
-struct Codecs {
-  std::unique_ptr<compress::Compressor> reduced = compress::make_zfp_original();
-  std::unique_ptr<compress::Compressor> delta = compress::make_zfp_delta();
-  CodecPair pair() const { return {reduced.get(), delta.get()}; }
-};
 
 sim::Field wavy(std::size_t n, double phase) {
   sim::Field f(n, n, n);
@@ -35,7 +28,7 @@ sim::Field wavy(std::size_t n, double phase) {
 }
 
 TEST(Staging, ProcessesEverySubmission) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   StagingNode node(codecs.pair(), {.method = "pca"});
   for (int s = 0; s < 6; ++s) {
     node.submit(wavy(10, 0.1 * s));
@@ -51,7 +44,7 @@ TEST(Staging, ProcessesEverySubmission) {
 }
 
 TEST(Staging, ResultsAreDecodableContainers) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   const sim::Field field = wavy(12, 0.7);
   StagingNode node(codecs.pair(), {.method = "one-base"});
   node.submit(field);
@@ -62,7 +55,7 @@ TEST(Staging, ResultsAreDecodableContainers) {
 }
 
 TEST(Staging, WritesToDirectoryWhenConfigured) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   const auto dir = fs::temp_directory_path() / "rmp_staging_test";
   fs::create_directories(dir);
   {
@@ -81,7 +74,7 @@ TEST(Staging, WritesToDirectoryWhenConfigured) {
 }
 
 TEST(Staging, BackpressureBoundsQueue) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   StagingNode node(codecs.pair(), {.method = "svd", .max_queue = 2});
   // Submissions beyond the queue bound must block (and therefore record
   // submit-side wait time) rather than grow memory unboundedly.
@@ -93,7 +86,7 @@ TEST(Staging, BackpressureBoundsQueue) {
 }
 
 TEST(Staging, StatsTrackCompressionTime) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   StagingNode node(codecs.pair(), {.method = "pca"});
   node.submit(wavy(12, 0.5));
   node.drain();
@@ -104,7 +97,7 @@ TEST(Staging, WriteFailureIsRecordedNotFatal) {
   // A full disk on the staging node must not terminate the process (an
   // escaped exception in the worker thread would): the failure lands in
   // stats and later submissions keep flowing.
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   const auto dir = fs::temp_directory_path() / "rmp_staging_fail_test";
   fs::create_directories(dir);
   {
@@ -141,7 +134,7 @@ TEST(Staging, WriteFailureIsRecordedNotFatal) {
 }
 
 TEST(Staging, DrainOnEmptyNodeReturnsImmediately) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   StagingNode node(codecs.pair(), {});
   node.drain();
   EXPECT_EQ(node.stats().fields_submitted, 0u);

@@ -4,19 +4,12 @@
 
 #include <cmath>
 
-#include "compress/factory.hpp"
 #include "core/identity.hpp"
 #include "sim/heat.hpp"
 #include "stats/metrics.hpp"
 
 namespace rmp::core {
 namespace {
-
-struct Codecs {
-  std::unique_ptr<compress::Compressor> reduced = compress::make_zfp_original();
-  std::unique_ptr<compress::Compressor> delta = compress::make_zfp_delta();
-  CodecPair pair() const { return {reduced.get(), delta.get()}; }
-};
 
 std::vector<sim::Field> heat_snapshots(std::size_t count) {
   sim::HeatConfig config;
@@ -26,7 +19,7 @@ std::vector<sim::Field> heat_snapshots(std::size_t count) {
 }
 
 TEST(Temporal, EmptySequence) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   const auto sequence = temporal_encode({}, codecs.pair());
   EXPECT_TRUE(sequence.steps.empty());
   EXPECT_EQ(sequence.total_bytes(), 0u);
@@ -34,7 +27,7 @@ TEST(Temporal, EmptySequence) {
 }
 
 TEST(Temporal, SingleSnapshotIsKeyframe) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   const auto snapshots = heat_snapshots(1);
   const auto sequence = temporal_encode(snapshots, codecs.pair());
   ASSERT_EQ(sequence.steps.size(), 1u);
@@ -42,7 +35,7 @@ TEST(Temporal, SingleSnapshotIsKeyframe) {
 }
 
 TEST(Temporal, RoundTripAllSnapshots) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   const auto snapshots = heat_snapshots(6);
   const auto sequence = temporal_encode(snapshots, codecs.pair());
   const auto decoded = temporal_decode(sequence, codecs.pair());
@@ -57,7 +50,7 @@ TEST(Temporal, RoundTripAllSnapshots) {
 TEST(Temporal, ErrorDoesNotAccumulate) {
   // Deltas are taken against the decoded predecessor, so the last
   // snapshot must be about as accurate as the second.
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   const auto snapshots = heat_snapshots(8);
   const auto decoded =
       temporal_decode(temporal_encode(snapshots, codecs.pair()), codecs.pair());
@@ -69,7 +62,7 @@ TEST(Temporal, ErrorDoesNotAccumulate) {
 TEST(Temporal, BeatsIndependentCompression) {
   // Nearby snapshots differ slowly: temporal deltas must use fewer bytes
   // than compressing every snapshot independently at original grade.
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   const auto snapshots = heat_snapshots(6);
   const auto sequence = temporal_encode(snapshots, codecs.pair());
 
@@ -84,7 +77,7 @@ TEST(Temporal, BeatsIndependentCompression) {
 }
 
 TEST(Temporal, KeyframeIntervalInsertsKeyframes) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   const auto snapshots = heat_snapshots(7);
   TemporalOptions options;
   options.keyframe_interval = 3;
@@ -97,7 +90,7 @@ TEST(Temporal, KeyframeIntervalInsertsKeyframes) {
 }
 
 TEST(Temporal, RejectsShapeMismatch) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   std::vector<sim::Field> snapshots = {sim::Field(4, 4, 4),
                                        sim::Field(5, 5, 5)};
   EXPECT_THROW(temporal_encode(snapshots, codecs.pair()),
@@ -105,7 +98,7 @@ TEST(Temporal, RejectsShapeMismatch) {
 }
 
 TEST(Temporal, DecodeRejectsUnknownMethod) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   TemporalSequence sequence;
   io::Container bogus;
   bogus.method = "not-a-step";

@@ -4,19 +4,12 @@
 
 #include <cmath>
 
-#include "compress/factory.hpp"
 #include "core/pca.hpp"
 #include "sim/heat.hpp"
 #include "stats/metrics.hpp"
 
 namespace rmp::core {
 namespace {
-
-struct Codecs {
-  std::unique_ptr<compress::Compressor> reduced = compress::make_zfp_original();
-  std::unique_ptr<compress::Compressor> delta = compress::make_zfp_delta();
-  CodecPair pair() const { return {reduced.get(), delta.get()}; }
-};
 
 sim::Field separable_field(std::size_t n) {
   // A rank-(1,1,1) tensor: f(i,j,k) = a(i) b(j) c(k).  Tucker must
@@ -62,7 +55,7 @@ TEST(Tucker, SeparableFieldIsRankOnePerMode) {
 }
 
 TEST(Tucker, RoundTripSeparableField) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   TuckerPreconditioner tucker;
   const sim::Field f = separable_field(12);
   EncodeStats stats;
@@ -74,7 +67,7 @@ TEST(Tucker, RoundTripSeparableField) {
 }
 
 TEST(Tucker, RoundTripHeatField) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   TuckerPreconditioner tucker;
   const sim::Field f = heat_field();
   const auto container = tucker.encode(f, codecs.pair(), nullptr);
@@ -83,7 +76,7 @@ TEST(Tucker, RoundTripHeatField) {
 }
 
 TEST(Tucker, WorksOn2dField) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   TuckerPreconditioner tucker;
   sim::Field f(20, 16, 1);
   for (std::size_t i = 0; i < 20; ++i) {
@@ -98,7 +91,7 @@ TEST(Tucker, WorksOn2dField) {
 }
 
 TEST(Tucker, WorksOn1dFieldViaCanonicalShape) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   TuckerPreconditioner tucker;
   sim::Field f(144, 1, 1);
   for (std::size_t i = 0; i < 144; ++i) {
@@ -115,7 +108,7 @@ TEST(Tucker, RegistryKnowsIt) {
 }
 
 TEST(Tucker, HigherEnergyTargetKeepsMore) {
-  Codecs codecs;
+  const Codecs codecs = make_codecs("zfp");
   const sim::Field f = heat_field();
   EncodeStats low, high;
   TuckerPreconditioner({0.80}).encode(f, codecs.pair(), &low);

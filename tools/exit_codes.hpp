@@ -1,7 +1,8 @@
 // Process exit codes shared by the rmpc and rmpd front ends, mapping the
-// typed error taxonomies (io::ContainerError, core::PreconditionError,
-// net::NetError / RemoteError) onto distinct, documented codes so shell
-// scripts and CI can dispatch on *what* failed without parsing stderr.
+// typed error taxonomies (io::ContainerError, compress::CodecError,
+// core::PreconditionError, net::NetError / RemoteError) onto distinct,
+// documented codes so shell scripts and CI can dispatch on *what* failed
+// without parsing stderr.
 // The table is documented in README.md ("Exit codes") and locked down by
 // tests/test_cli.cpp.
 #pragma once
@@ -9,6 +10,7 @@
 #include <exception>
 #include <stdexcept>
 
+#include "compress/codec_error.hpp"
 #include "core/precond_error.hpp"
 #include "io/container_error.hpp"
 #include "net/client.hpp"
@@ -74,6 +76,9 @@ inline int exit_code_for(const std::exception& error) noexcept {
       default: return kExitIntegrity;
     }
   }
+  // A codec stream that does not parse is damaged archive bytes.
+  if (dynamic_cast<const compress::CodecError*>(&error) != nullptr)
+    return kExitIntegrity;
   if (dynamic_cast<const core::PreconditionError*>(&error) != nullptr)
     return kExitModel;
   if (dynamic_cast<const std::invalid_argument*>(&error) != nullptr)
