@@ -92,7 +92,10 @@ class Communicator {
       throw std::runtime_error("recv: payload not a multiple of sizeof(T)");
     }
     std::vector<T> values(bytes.size() / sizeof(T));
-    std::memcpy(values.data(), bytes.data(), bytes.size());
+    // A zero-byte message has no buffer: memcpy's pointers must be valid.
+    if (!bytes.empty()) {
+      std::memcpy(values.data(), bytes.data(), bytes.size());
+    }
     return values;
   }
 
