@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   const double scale = bench::parse_scale(argc, argv);
   bench::print_header("Ablation", "delta vs clean / decoded reduced rep");
 
-  bench::ZfpCodecs zfp;
+  const core::Codecs zfp = core::make_codecs("zfp");
   std::printf("%-14s %-6s %12s %10s %12s %10s\n", "dataset", "method",
               "rmse(clean)", "ratio", "rmse(dec)", "ratio");
   for (sim::DatasetId id : sim::all_datasets()) {

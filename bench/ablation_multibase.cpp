@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   const double scale = bench::parse_scale(argc, argv);
   bench::print_header("Ablation", "multi-base slab count sweep");
 
-  bench::ZfpCodecs zfp;
+  const core::Codecs zfp = core::make_codecs("zfp");
   const auto pair = sim::make_dataset(sim::DatasetId::kHeat3d, scale);
 
   std::printf("%-8s %12s %12s %10s %12s\n", "slabs", "reduced(B)",

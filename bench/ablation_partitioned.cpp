@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   const double scale = bench::parse_scale(argc, argv);
   bench::print_header("Ablation", "partitioned PCA partition sweep");
 
-  bench::ZfpCodecs zfp;
+  const core::Codecs zfp = core::make_codecs("zfp");
   const auto pair = sim::make_dataset(sim::DatasetId::kHeat3d, scale);
 
   std::printf("%-12s %10s %12s %10s %12s\n", "partitions", "encode(s)",

@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   const double scale = bench::parse_scale(argc, argv);
   bench::print_header("Ablation", "predicted vs brute-force model choice");
 
-  bench::SzCodecs sz;
+  const core::Codecs sz = core::make_codecs("sz");
   std::printf("%-14s %-10s %-10s %10s %8s\n", "dataset", "predicted",
               "best", "regret", "agree");
   std::size_t agreements = 0;

@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   const double scale = bench::parse_scale(argc, argv);
   bench::print_header("Ablation", "temporal keyframe interval sweep");
 
-  bench::ZfpCodecs zfp;
+  const core::Codecs zfp = core::make_codecs("zfp");
   const auto snapshots = sim::make_snapshots(sim::DatasetId::kHeat3d, 12, scale);
   const std::size_t raw_bytes =
       snapshots.size() * snapshots.front().size() * sizeof(double);

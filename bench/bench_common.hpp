@@ -8,10 +8,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 
-#include "compress/factory.hpp"
 #include "core/pipeline.hpp"
 
 namespace rmp::bench {
@@ -21,26 +19,6 @@ inline double parse_scale(int argc, char** argv, double fallback = 0.5) {
   if (const char* env = std::getenv("RMP_BENCH_SCALE")) return std::atof(env);
   return fallback;
 }
-
-/// Paper-configured codec pairs (§IV-B, §V-B).
-struct ZfpCodecs {
-  std::unique_ptr<compress::Compressor> reduced =
-      compress::make_zfp_original();
-  std::unique_ptr<compress::Compressor> delta = compress::make_zfp_delta();
-  core::CodecPair pair() const { return {reduced.get(), delta.get()}; }
-};
-
-struct SzCodecs {
-  std::unique_ptr<compress::Compressor> reduced = compress::make_sz_original();
-  std::unique_ptr<compress::Compressor> delta = compress::make_sz_delta();
-  core::CodecPair pair() const { return {reduced.get(), delta.get()}; }
-};
-
-struct FpcCodecs {
-  std::unique_ptr<compress::Compressor> reduced = compress::make_fpc();
-  std::unique_ptr<compress::Compressor> delta = compress::make_fpc();
-  core::CodecPair pair() const { return {reduced.get(), delta.get()}; }
-};
 
 inline void print_header(const char* figure, const char* what) {
   std::printf("# %s -- %s\n", figure, what);

@@ -11,7 +11,7 @@ int main(int argc, char** argv) {
   const double scale = bench::parse_scale(argc, argv);
   bench::print_header("Extension", "cascade preconditioning");
 
-  bench::ZfpCodecs zfp;
+  const core::Codecs zfp = core::make_codecs("zfp");
   const char* methods[] = {"one-base",      "pca",          "one-base>pca",
                            "one-base>svd",  "pca>wavelet",  "multi-base>pca"};
 

@@ -1,17 +1,18 @@
-// ext_codec_speed -- SZ-hot-path microbenchmarks, emitted as
-// machine-readable JSON (schema rmp-bench-codec-v1).  Times the layers
-// the DESIGN.md §13 overhaul targets in isolation:
+// ext_codec_speed -- SZ-hot-path microbenchmarks.  Times the layers the
+// DESIGN.md §13 overhaul targets in isolation:
 //
 //   * Huffman encode/decode MB/s over a quantization-shaped symbol stream
 //     (MB measured on the 4-byte-per-symbol input side);
 //   * Lorenzo quantize/dequantize Melem/s, read from the codec/sz obs
 //     spans of a full SzCompressor round trip;
-//   * SZ end-to-end encode/decode MB/s (the bench-gate aggregate).
+//   * SZ end-to-end encode/decode MB/s.
 //
 // Every number is best-of-N wall time, which suppresses scheduler noise
-// far better than single-shot timing on shared machines.
+// far better than single-shot timing on shared machines.  Exits non-zero
+// when the Huffman round trip does not reproduce its symbols or the SZ
+// round trip its value count.
 //
-//   ext_codec_speed [scale] [out.json]
+//   ext_codec_speed [scale]
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -30,12 +31,6 @@ namespace {
 using namespace rmp;
 
 constexpr int kReps = 7;
-
-void append_number(std::string& out, double v) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.17g", std::isfinite(v) ? v : 0.0);
-  out += buffer;
-}
 
 // Sum of total_seconds over registry spans whose path ends in `suffix`
 // (span paths nest under the caller, so the tail is the stable part).
@@ -90,7 +85,6 @@ std::vector<double> make_field(std::size_t nx, std::size_t ny, std::size_t nz) {
 
 int main(int argc, char** argv) {
   const double scale = bench::parse_scale(argc, argv, 1.0);
-  const std::string out_path = argc > 2 ? argv[2] : "BENCH_codec_speed.json";
 
   bench::print_header("ext_codec_speed",
                       "SZ hot-path microbenchmarks (best-of-N)");
@@ -166,41 +160,5 @@ int main(int argc, char** argv) {
               lorenzo_quantize_melem_s, lorenzo_dequantize_melem_s, edge);
   std::printf("sz       encode %8.1f MB/s   decode %8.1f MB/s\n",
               sz_encode_mb_s, sz_decode_mb_s);
-
-  std::string json = "{\n  \"schema\": \"rmp-bench-codec-v1\",\n  \"scale\": ";
-  append_number(json, scale);
-  json += ",\n  \"reps\": ";
-  append_number(json, kReps);
-  json += ",\n  \"huffman_encode_mb_s\": ";
-  append_number(json, huffman_encode_mb_s);
-  json += ",\n  \"huffman_decode_mb_s\": ";
-  append_number(json, huffman_decode_mb_s);
-  json += ",\n  \"lorenzo_quantize_melem_s\": ";
-  append_number(json, lorenzo_quantize_melem_s);
-  json += ",\n  \"lorenzo_dequantize_melem_s\": ";
-  append_number(json, lorenzo_dequantize_melem_s);
-  json += ",\n  \"sz_encode_mb_s\": ";
-  append_number(json, sz_encode_mb_s);
-  json += ",\n  \"sz_decode_mb_s\": ";
-  append_number(json, sz_decode_mb_s);
-  json += ",\n  \"obs\": ";
-  json += obs::Registry::global().to_json();
-  json += "\n}\n";
-
-  std::FILE* file = std::fopen(out_path.c_str(), "wb");
-  if (file == nullptr) {
-    std::fprintf(stderr, "ext_codec_speed: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), file);
-  std::fclose(file);
-  std::printf("wrote %s\n", out_path.c_str());
-
-  const auto validation = obs::validate_stats_json(json);
-  if (!validation.ok) {
-    std::fprintf(stderr, "ext_codec_speed: self-validation failed: %s\n",
-                 validation.error.c_str());
-    return 1;
-  }
   return 0;
 }

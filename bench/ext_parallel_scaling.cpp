@@ -6,10 +6,8 @@
 // ScopedPoolOverride installing a pool of 1/2/4/8 workers; threads == 1
 // runs the inline serial path, so it doubles as the serial baseline.
 //
-// Besides the aligned-text table, results are written to
-// BENCH_parallel_scaling.json (machine-readable, first entry of the perf
-// trajectory).  On a single-core container the times mostly show runtime
-// overhead; on a real multicore they show the speedup.
+// On a single-core container the times mostly show runtime overhead; on
+// a real multicore they show the speedup.
 #include "bench_common.hpp"
 
 #include <array>
@@ -17,7 +15,7 @@
 #include <cstdio>
 #include <functional>
 #include <string>
-#include <vector>
+#include <thread>
 
 #include "core/parallel_compress.hpp"
 #include "core/preconditioner.hpp"
@@ -42,90 +40,40 @@ double timed_best(const std::function<void()>& body, int reps = 3) {
   return best;
 }
 
-struct SweepPoint {
-  std::size_t threads;
-  double encode_s;
-  double decode_s;
-};
-
-struct PipelineResult {
-  std::string name;
-  std::vector<SweepPoint> sweep;
-
-  double speedup(std::size_t threads, double SweepPoint::*member) const {
-    const SweepPoint* base = nullptr;
-    const SweepPoint* at = nullptr;
-    for (const auto& p : sweep) {
-      if (p.threads == 1) base = &p;
-      if (p.threads == threads) at = &p;
-    }
-    if (base == nullptr || at == nullptr || at->*member <= 0.0) return 0.0;
-    return base->*member / (at->*member);
-  }
-};
-
 const std::array<std::size_t, 4> kThreadSweep = {1, 2, 4, 8};
+
+double speedup(double serial_s, double threaded_s) {
+  return threaded_s > 0.0 ? serial_s / threaded_s : 0.0;
+}
 
 // Sweep one pipeline: encode_fn/decode_fn run under a pool of `threads`
 // workers installed as the process-wide override, so every internal hot
 // path (matrix products, covariance, Haar lines, per-block stages) uses
 // exactly that many workers.
-PipelineResult sweep_pipeline(
-    const std::string& name,
-    const std::function<void(std::size_t)>& encode_fn,
-    const std::function<void(std::size_t)>& decode_fn) {
-  PipelineResult result{name, {}};
+void sweep_pipeline(const std::string& name,
+                    const std::function<void(std::size_t)>& encode_fn,
+                    const std::function<void(std::size_t)>& decode_fn) {
+  double serial_encode_s = 0.0, serial_decode_s = 0.0;
+  double encode_4t_s = 0.0, decode_4t_s = 0.0;
   for (const std::size_t threads : kThreadSweep) {
     rmp::parallel::ThreadPool pool(threads);
     rmp::parallel::ScopedPoolOverride guard(pool);
-    SweepPoint point{threads, 0.0, 0.0};
-    point.encode_s = timed_best([&] { encode_fn(threads); });
-    point.decode_s = timed_best([&] { decode_fn(threads); });
-    result.sweep.push_back(point);
+    const double encode_s = timed_best([&] { encode_fn(threads); });
+    const double decode_s = timed_best([&] { decode_fn(threads); });
+    if (threads == 1) {
+      serial_encode_s = encode_s;
+      serial_decode_s = decode_s;
+    }
+    if (threads == 4) {
+      encode_4t_s = encode_s;
+      decode_4t_s = decode_s;
+    }
     std::printf("%-14s %-8zu %10.4f %10.4f\n", name.c_str(), threads,
-                point.encode_s, point.decode_s);
+                encode_s, decode_s);
   }
   std::printf("%-14s speedup@4t   enc %.2fx   dec %.2fx\n", name.c_str(),
-              result.speedup(4, &SweepPoint::encode_s),
-              result.speedup(4, &SweepPoint::decode_s));
-  return result;
-}
-
-void write_json(const std::vector<PipelineResult>& pipelines, double scale,
-                std::size_t field_n) {
-  FILE* out = std::fopen("BENCH_parallel_scaling.json", "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_parallel_scaling.json\n");
-    return;
-  }
-  std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"bench\": \"parallel_scaling\",\n");
-  std::fprintf(out, "  \"scale\": %g,\n", scale);
-  std::fprintf(out, "  \"field_n\": %zu,\n", field_n);
-  std::fprintf(out, "  \"hardware_concurrency\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(out, "  \"pipelines\": [\n");
-  for (std::size_t p = 0; p < pipelines.size(); ++p) {
-    const auto& pipe = pipelines[p];
-    std::fprintf(out, "    {\"name\": \"%s\", \"sweep\": [",
-                 pipe.name.c_str());
-    for (std::size_t i = 0; i < pipe.sweep.size(); ++i) {
-      const auto& pt = pipe.sweep[i];
-      std::fprintf(out,
-                   "%s{\"threads\": %zu, \"encode_s\": %.6f, "
-                   "\"decode_s\": %.6f}",
-                   i == 0 ? "" : ", ", pt.threads, pt.encode_s, pt.decode_s);
-    }
-    std::fprintf(out,
-                 "], \"speedup_4t_encode\": %.3f, \"speedup_4t_decode\": "
-                 "%.3f}%s\n",
-                 pipe.speedup(4, &SweepPoint::encode_s),
-                 pipe.speedup(4, &SweepPoint::decode_s),
-                 p + 1 < pipelines.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("\nwrote BENCH_parallel_scaling.json\n");
+              speedup(serial_encode_s, encode_4t_s),
+              speedup(serial_decode_s, decode_4t_s));
 }
 
 }  // namespace
@@ -161,16 +109,17 @@ int main(int argc, char** argv) {
   sweep_config.steps = 20;
   const sim::Field field = sim::heat3d_run(sweep_config);
 
-  std::printf("\n# Encode/decode pipelines, worker sweep (best of 3)\n");
+  std::printf("\n# Encode/decode pipelines on Heat3d %zu^3, worker sweep "
+              "(best of 3), %u hardware threads\n",
+              sweep_config.n, std::thread::hardware_concurrency());
   std::printf("%-14s %-8s %10s %10s\n", "pipeline", "threads", "encode_s",
               "decode_s");
 
-  bench::ZfpCodecs zfp;
-  std::vector<PipelineResult> results;
+  const core::Codecs zfp = core::make_codecs("zfp");
 
   {  // N-to-N parallel-slabs compression (Table IV pattern).
     io::Container container;
-    results.push_back(sweep_pipeline(
+    sweep_pipeline(
         "parallel-slabs",
         [&](std::size_t threads) {
           container = core::compress_field_parallel(field, *zfp.reduced,
@@ -178,26 +127,24 @@ int main(int argc, char** argv) {
         },
         [&](std::size_t threads) {
           core::decompress_field_parallel(container, *zfp.reduced, threads);
-        }));
+        });
   }
 
   const auto precond_sweep = [&](const std::string& spec) {
     const auto preconditioner = core::make_preconditioner(spec);
     io::Container container;
-    results.push_back(sweep_pipeline(
+    sweep_pipeline(
         spec,
         [&](std::size_t) {
           container = preconditioner->encode(field, zfp.pair(), nullptr);
         },
         [&](std::size_t) {
           preconditioner->decode(container, zfp.pair(), nullptr);
-        }));
+        });
   };
   precond_sweep("blocked-pca");
   precond_sweep("pca");
   precond_sweep("svd");
   precond_sweep("wavelet");
-
-  write_json(results, scale, sweep_config.n);
   return 0;
 }

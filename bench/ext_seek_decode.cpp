@@ -1,5 +1,4 @@
-// ext_seek_decode -- seekable-archive decode bench (DESIGN.md §12),
-// emitted as machine-readable JSON (schema rmp-bench-seek-v1).
+// ext_seek_decode -- seekable-archive decode bench (DESIGN.md §12).
 //
 // Builds a v4 sequence archive (per-section chunk index + CRC'd
 // sequence trailer) of N encoded steps, then measures
@@ -9,11 +8,12 @@
 //   2. random access to one step, reporting the bytes actually read --
 //      the O(step K) seek property the chunk index buys.
 //
-//   ext_seek_decode [scale] [out.json]
+// Exits non-zero when any thread count or the single-step read decodes
+// fields that differ from the single-thread sweep run.
 //
-// Default scale comes from RMP_BENCH_SCALE or 0.4; default output is
-// BENCH_seek_decode.json in the working directory.
-#include <cmath>
+//   ext_seek_decode [scale]
+//
+// Default scale comes from RMP_BENCH_SCALE or 0.4.
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -26,23 +26,10 @@
 #include "parallel/thread_pool.hpp"
 #include "sim/datasets.hpp"
 
-namespace {
-
 using namespace rmp;
-
-double finite_or_zero(double v) { return std::isfinite(v) ? v : 0.0; }
-
-void append_number(std::string& out, double v) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.17g", finite_or_zero(v));
-  out += buffer;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const double scale = bench::parse_scale(argc, argv, 0.4);
-  const std::string out_path = argc > 2 ? argv[2] : "BENCH_seek_decode.json";
   constexpr std::size_t kSteps = 12;
 
   obs::set_enabled(true);
@@ -50,7 +37,7 @@ int main(int argc, char** argv) {
                       "seekable v4 archive: parallel chunked decode sweep");
 
   const auto dataset = sim::make_dataset(sim::DatasetId::kHeat3d, scale);
-  bench::SzCodecs sz;
+  const core::Codecs sz = core::make_codecs("sz");
   const core::CodecPair pair = sz.pair();
   const auto preconditioner = core::make_preconditioner("pca");
 
@@ -82,11 +69,6 @@ int main(int argc, char** argv) {
 
   // Thread sweep: decode all steps through the chunk fetcher, verifying
   // each run reproduces the single-thread fields exactly.
-  struct SweepRun {
-    std::size_t threads = 0;
-    double seconds = 0;
-  };
-  std::vector<SweepRun> runs;
   std::vector<std::vector<double>> reference;
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     parallel::ThreadPool pool(threads);
@@ -111,7 +93,6 @@ int main(int argc, char** argv) {
                    threads);
       return 1;
     }
-    runs.push_back({threads, seconds});
     std::printf("threads %2zu  decode %8.4fs  %8.2f MB/s\n", threads, seconds,
                 total_bytes / seconds / 1e6);
   }
@@ -140,50 +121,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::string json = "{\n  \"schema\": \"rmp-bench-seek-v1\",\n  \"scale\": ";
-  append_number(json, scale);
-  json += ",\n  \"steps\": ";
-  append_number(json, static_cast<double>(kSteps));
-  json += ",\n  \"step_bytes\": ";
-  append_number(json, static_cast<double>(original_bytes_per_step));
-  json += ",\n  \"runs\": [\n";
-  for (std::size_t r = 0; r < runs.size(); ++r) {
-    json += "    {\"threads\": ";
-    append_number(json, static_cast<double>(runs[r].threads));
-    json += ", \"seconds\": ";
-    append_number(json, runs[r].seconds);
-    json += ", \"throughput_bytes_per_second\": ";
-    append_number(json, runs[r].seconds > 0 ? total_bytes / runs[r].seconds
-                                            : 0.0);
-    json += "}";
-    json += r + 1 < runs.size() ? ",\n" : "\n";
-  }
-  json += "  ],\n  \"single_step\": {\"step\": ";
-  append_number(json, static_cast<double>(probe_step));
-  json += ", \"seconds\": ";
-  append_number(json, seek_seconds);
-  json += ", \"bytes_read\": ";
-  append_number(json, static_cast<double>(bytes_read));
-  json += "},\n  \"obs\": ";
-  json += obs::Registry::global().to_json();
-  json += "\n}\n";
-
-  std::FILE* file = std::fopen(out_path.c_str(), "wb");
-  if (file == nullptr) {
-    std::fprintf(stderr, "ext_seek_decode: cannot write %s\n",
-                 out_path.c_str());
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), file);
-  std::fclose(file);
   std::filesystem::remove(archive);
-  std::printf("wrote %s (%zu sweep runs)\n", out_path.c_str(), runs.size());
-
-  const auto validation = obs::validate_stats_json(json);
-  if (!validation.ok) {
-    std::fprintf(stderr, "ext_seek_decode: self-validation failed: %s\n",
-                 validation.error.c_str());
-    return 1;
-  }
   return 0;
 }

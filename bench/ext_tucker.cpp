@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   const double scale = bench::parse_scale(argc, argv);
   bench::print_header("Extension", "Tucker (HOSVD) vs PCA/SVD");
 
-  bench::ZfpCodecs zfp;
+  const core::Codecs zfp = core::make_codecs("zfp");
   const char* methods[] = {"identity", "pca", "svd", "tucker"};
 
   std::printf("%-14s %-9s %10s %12s %12s\n", "dataset", "method", "ratio",

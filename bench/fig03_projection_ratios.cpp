@@ -12,6 +12,7 @@
 // the lossy codecs; one/multi-base lift FPC more than DuoModel does.
 #include "bench_common.hpp"
 
+#include "compress/factory.hpp"
 #include "core/identity.hpp"
 #include "core/projection.hpp"
 #include "sim/datasets.hpp"
@@ -56,9 +57,9 @@ int main(int argc, char** argv) {
   bench::print_header(
       "Fig. 3", "projection-based reduced models, avg of 20 outputs");
 
-  bench::SzCodecs sz;
-  bench::ZfpCodecs zfp;
-  bench::FpcCodecs fpc;
+  const core::Codecs sz = core::make_codecs("sz");
+  const core::Codecs zfp = core::make_codecs("zfp");
+  const core::Codecs fpc{compress::make_fpc(), compress::make_fpc()};
   struct CodecRow {
     const char* label;
     core::CodecPair pair;

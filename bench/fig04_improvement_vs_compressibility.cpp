@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   bench::print_header("Fig. 4",
                       "one-base improvement vs original compressibility");
 
-  bench::ZfpCodecs zfp;
+  const core::Codecs zfp = core::make_codecs("zfp");
   core::IdentityPreconditioner original;
   core::OneBasePreconditioner one_base;
 

@@ -15,8 +15,8 @@ int main(int argc, char** argv) {
   bench::print_header("Fig. 6",
                       "dimension-reduction preconditioning, 9 datasets");
 
-  bench::ZfpCodecs zfp;
-  bench::SzCodecs sz;
+  const core::Codecs zfp = core::make_codecs("zfp");
+  const core::Codecs sz = core::make_codecs("sz");
   struct CodecRow {
     const char* label;
     core::CodecPair pair;

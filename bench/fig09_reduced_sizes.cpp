@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   const double scale = bench::parse_scale(argc, argv);
   bench::print_header("Fig. 9", "reduced representation size (bytes)");
 
-  bench::ZfpCodecs zfp;
+  const core::Codecs zfp = core::make_codecs("zfp");
   const char* methods[] = {"pca", "svd", "wavelet"};
 
   std::printf("%-14s %12s %12s %12s %12s\n", "dataset", "original", "pca",

@@ -14,8 +14,8 @@ int main(int argc, char** argv) {
   const double scale = bench::parse_scale(argc, argv);
   bench::print_header("Fig. 10", "RMSE of direct vs preconditioned");
 
-  bench::ZfpCodecs zfp;
-  bench::SzCodecs sz;
+  const core::Codecs zfp = core::make_codecs("zfp");
+  const core::Codecs sz = core::make_codecs("sz");
   struct CodecRow {
     const char* label;
     core::CodecPair pair;

@@ -22,7 +22,7 @@ const sim::Field& bench_field() {
 }
 
 void BM_Encode(benchmark::State& state, const std::string& method) {
-  bench::ZfpCodecs zfp;
+  const core::Codecs zfp = core::make_codecs("zfp");
   const auto preconditioner = core::make_preconditioner(method);
   const auto& field = bench_field();
   for (auto _ : state) {
@@ -35,7 +35,7 @@ void BM_Encode(benchmark::State& state, const std::string& method) {
 }
 
 void BM_Decode(benchmark::State& state, const std::string& method) {
-  bench::ZfpCodecs zfp;
+  const core::Codecs zfp = core::make_codecs("zfp");
   const auto preconditioner = core::make_preconditioner(method);
   const auto& field = bench_field();
   const auto container = preconditioner->encode(field, zfp.pair(), nullptr);

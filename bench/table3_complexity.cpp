@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  bench::ZfpCodecs zfp;
+  const core::Codecs zfp = core::make_codecs("zfp");
   const std::size_t base = std::max<std::size_t>(
       12, static_cast<std::size_t>(24 * scale));
   for (std::size_t n : {base, base * 2}) {

@@ -32,8 +32,8 @@ int main(int argc, char** argv) {
   const sim::Field field = sim::heat3d_run(config);
   const double field_bytes = static_cast<double>(field.size()) * 8.0;
 
-  bench::ZfpCodecs zfp;
-  bench::SzCodecs sz;
+  const core::Codecs zfp = core::make_codecs("zfp");
+  const core::Codecs sz = core::make_codecs("sz");
 
   struct Measured {
     double seconds_per_byte;

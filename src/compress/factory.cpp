@@ -1,7 +1,5 @@
 #include "compress/factory.hpp"
 
-#include <stdexcept>
-
 namespace rmp::compress {
 
 std::unique_ptr<Compressor> make_sz_original() {
@@ -26,13 +24,6 @@ std::unique_ptr<Compressor> make_zfp_delta() {
 
 std::unique_ptr<Compressor> make_fpc() {
   return std::make_unique<FpcCompressor>(FpcOptions{20});
-}
-
-std::unique_ptr<Compressor> make_by_name(const std::string& name) {
-  if (name == "sz") return make_sz_original();
-  if (name == "zfp") return make_zfp_original();
-  if (name == "fpc") return make_fpc();
-  throw std::invalid_argument("make_by_name: unknown compressor " + name);
 }
 
 }  // namespace rmp::compress

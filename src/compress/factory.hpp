@@ -19,8 +19,4 @@ std::unique_ptr<Compressor> make_zfp_original();  ///< fixed precision 16
 std::unique_ptr<Compressor> make_zfp_delta();     ///< fixed precision 8
 std::unique_ptr<Compressor> make_fpc();           ///< lossless, level 20
 
-/// Build by name: "sz", "zfp", "fpc" (the paper-default original config);
-/// throws std::invalid_argument for anything else.
-std::unique_ptr<Compressor> make_by_name(const std::string& name);
-
 }  // namespace rmp::compress

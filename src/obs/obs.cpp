@@ -382,8 +382,14 @@ class JsonParser {
   JsonValue parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (++depth_ > kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+      }
+      JsonValue v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       JsonValue v;
       v.type = JsonValue::Type::kString;
@@ -530,8 +536,13 @@ class JsonParser {
     return v;
   }
 
+  // The reports nest 4 deep.  The cap keeps a hostile document (a
+  // megabyte of '[') from recursing the parser off the end of the stack.
+  static constexpr int kMaxDepth = 64;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace
@@ -601,11 +612,6 @@ bool has_number(const JsonValue& v, std::string_view key) {
   return member != nullptr && member->type == JsonValue::Type::kNumber;
 }
 
-bool has_string(const JsonValue& v, std::string_view key) {
-  const JsonValue* member = v.find(key);
-  return member != nullptr && member->type == JsonValue::Type::kString;
-}
-
 void validate_obs_v1(const JsonValue& v, ValidationResult* result) {
   const JsonValue* counters = v.find("counters");
   if (require(counters != nullptr && is_number_object_map(*counters),
@@ -661,94 +667,6 @@ void validate_obs_v1(const JsonValue& v, ValidationResult* result) {
   }
 }
 
-void validate_bench_core_v1(const JsonValue& v, ValidationResult* result) {
-  require(has_number(v, "scale"), "\"scale\" must be a number", result);
-  const JsonValue* runs = v.find("runs");
-  if (require(runs != nullptr && runs->type == JsonValue::Type::kArray &&
-                  !runs->array.empty(),
-              "\"runs\" must be a non-empty array", result)) {
-    for (std::size_t i = 0; i < runs->array.size(); ++i) {
-      const JsonValue& run = runs->array[i];
-      require(has_string(run, "dataset") && has_string(run, "method") &&
-                  has_string(run, "codec") && has_number(run, "ratio") &&
-                  has_number(run, "rmse") && has_number(run, "max_error") &&
-                  has_number(run, "encode_seconds") &&
-                  has_number(run, "decode_seconds") &&
-                  has_number(run, "original_bytes") &&
-                  has_number(run, "compressed_bytes"),
-              "runs[" + std::to_string(i) +
-                  "] needs dataset/method/codec strings and "
-                  "ratio/rmse/max_error/encode_seconds/decode_seconds/"
-                  "original_bytes/compressed_bytes numbers",
-              result);
-    }
-  }
-  const JsonValue* obs_report = v.find("obs");
-  if (require(obs_report != nullptr &&
-                  obs_report->type == JsonValue::Type::kObject,
-              "\"obs\" must be an embedded rmp-obs-v1 object", result)) {
-    const JsonValue* schema = obs_report->find("schema");
-    require(schema != nullptr && schema->type == JsonValue::Type::kString &&
-                schema->string == "rmp-obs-v1",
-            "\"obs\".\"schema\" must be \"rmp-obs-v1\"", result);
-    validate_obs_v1(*obs_report, result);
-  }
-}
-
-void validate_bench_seek_v1(const JsonValue& v, ValidationResult* result) {
-  require(has_number(v, "scale"), "\"scale\" must be a number", result);
-  require(has_number(v, "steps"), "\"steps\" must be a number", result);
-  require(has_number(v, "step_bytes"), "\"step_bytes\" must be a number",
-          result);
-  const JsonValue* runs = v.find("runs");
-  if (require(runs != nullptr && runs->type == JsonValue::Type::kArray &&
-                  !runs->array.empty(),
-              "\"runs\" must be a non-empty array", result)) {
-    for (std::size_t i = 0; i < runs->array.size(); ++i) {
-      const JsonValue& run = runs->array[i];
-      require(has_number(run, "threads") && has_number(run, "seconds") &&
-                  has_number(run, "throughput_bytes_per_second"),
-              "runs[" + std::to_string(i) +
-                  "] needs numeric threads/seconds/"
-                  "throughput_bytes_per_second",
-              result);
-    }
-  }
-  const JsonValue* seek = v.find("single_step");
-  if (require(seek != nullptr && seek->type == JsonValue::Type::kObject,
-              "\"single_step\" must be an object", result)) {
-    require(has_number(*seek, "step") && has_number(*seek, "seconds") &&
-                has_number(*seek, "bytes_read"),
-            "\"single_step\" needs numeric step/seconds/bytes_read", result);
-  }
-  const JsonValue* obs_report = v.find("obs");
-  if (require(obs_report != nullptr &&
-                  obs_report->type == JsonValue::Type::kObject,
-              "\"obs\" must be an embedded rmp-obs-v1 object", result)) {
-    validate_obs_v1(*obs_report, result);
-  }
-}
-
-void validate_bench_codec_v1(const JsonValue& v, ValidationResult* result) {
-  require(has_number(v, "scale"), "\"scale\" must be a number", result);
-  require(has_number(v, "reps"), "\"reps\" must be a number", result);
-  require(has_number(v, "huffman_encode_mb_s") &&
-              has_number(v, "huffman_decode_mb_s") &&
-              has_number(v, "lorenzo_quantize_melem_s") &&
-              has_number(v, "lorenzo_dequantize_melem_s") &&
-              has_number(v, "sz_encode_mb_s") && has_number(v, "sz_decode_mb_s"),
-          "codec bench needs numeric huffman_encode_mb_s/huffman_decode_mb_s/"
-          "lorenzo_quantize_melem_s/lorenzo_dequantize_melem_s/"
-          "sz_encode_mb_s/sz_decode_mb_s",
-          result);
-  const JsonValue* obs_report = v.find("obs");
-  if (require(obs_report != nullptr &&
-                  obs_report->type == JsonValue::Type::kObject,
-              "\"obs\" must be an embedded rmp-obs-v1 object", result)) {
-    validate_obs_v1(*obs_report, result);
-  }
-}
-
 }  // namespace
 
 ValidationResult validate_stats_json(const JsonValue& value) {
@@ -763,16 +681,9 @@ ValidationResult validate_stats_json(const JsonValue& value) {
     return result;
   }
   result.schema = schema->string;
-  if (schema->string == "rmp-obs-v1") {
+  if (require(schema->string == "rmp-obs-v1",
+              "unknown schema \"" + schema->string + "\"", &result)) {
     validate_obs_v1(value, &result);
-  } else if (schema->string == "rmp-bench-core-v1") {
-    validate_bench_core_v1(value, &result);
-  } else if (schema->string == "rmp-bench-codec-v1") {
-    validate_bench_codec_v1(value, &result);
-  } else if (schema->string == "rmp-bench-seek-v1") {
-    validate_bench_seek_v1(value, &result);
-  } else {
-    require(false, "unknown schema \"" + schema->string + "\"", &result);
   }
   return result;
 }

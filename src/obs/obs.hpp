@@ -151,7 +151,8 @@ struct JsonValue {
 
 /// Strict-enough parser for the reports this module emits (objects,
 /// arrays, strings with \-escapes, numbers, true/false/null).  Throws
-/// std::runtime_error with an offset on malformed input.
+/// std::runtime_error with an offset on malformed input, including
+/// arrays/objects nested more than 64 deep.
 JsonValue json_parse(std::string_view text);
 
 struct ValidationResult {
@@ -160,10 +161,8 @@ struct ValidationResult {
   std::string schema;  ///< schema string found in the document
 };
 
-/// Validate a parsed document against the schemas this repo emits:
-/// "rmp-obs-v1" (Registry::to_json), "rmp-bench-core-v1"
-/// (bench/ext_obs_baseline), and "rmp-bench-seek-v1"
-/// (bench/ext_seek_decode).  Unknown schema names fail.
+/// Validate a parsed document against "rmp-obs-v1", the schema
+/// Registry::to_json emits.  Any other schema name fails.
 ValidationResult validate_stats_json(const JsonValue& value);
 
 /// Convenience: parse + validate raw text (parse errors land in .error).

@@ -40,13 +40,6 @@ TEST(Factory, DeltaGradeIsLooser) {
             make_zfp_original()->compress(data, dims).size());
 }
 
-TEST(Factory, MakeByName) {
-  EXPECT_EQ(make_by_name("sz")->name(), "sz-rel");
-  EXPECT_EQ(make_by_name("zfp")->name(), "zfp-prec");
-  EXPECT_EQ(make_by_name("fpc")->name(), "fpc");
-  EXPECT_THROW(make_by_name("lz4"), std::invalid_argument);
-}
-
 TEST(Factory, CrossInstanceDecode) {
   // Streams are self-describing: any instance of the right codec class
   // can decode another instance's output.

@@ -205,7 +205,7 @@ TEST_F(ObsTest, ValidatorRejectsMalformedDocuments) {
   EXPECT_FALSE(obs::validate_stats_json("{}").ok);
   EXPECT_FALSE(
       obs::validate_stats_json("{\"schema\": \"rmp-unknown-v9\"}").ok);
-  // A bench document missing its runs must fail too.
+  // The bench schemas are retired: a bench document is an unknown schema.
   EXPECT_FALSE(obs::validate_stats_json(
                    "{\"schema\": \"rmp-bench-core-v1\", \"scale\": 1}")
                    .ok);
@@ -259,6 +259,22 @@ TEST_F(ObsTest, JsonParserRejectsTrailingGarbage) {
   EXPECT_THROW(obs::json_parse("{\"a\": 1} extra"), std::runtime_error);
   EXPECT_THROW(obs::json_parse("{\"a\": }"), std::runtime_error);
   EXPECT_THROW(obs::json_parse(""), std::runtime_error);
+}
+
+// Nesting is capped, so a hostile document throws instead of recursing
+// the parser off the end of the stack.
+TEST_F(ObsTest, JsonParserRejectsDeepNesting) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW(obs::json_parse(nested(64)));
+  EXPECT_THROW(obs::json_parse(nested(65)), std::runtime_error);
+  EXPECT_THROW(obs::json_parse(std::string(1'000'000, '[')),
+               std::runtime_error);
+  std::string objects;
+  for (int i = 0; i < 100'000; ++i) objects += "{\"a\":";
+  EXPECT_THROW(obs::json_parse(objects), std::runtime_error);
+  EXPECT_FALSE(obs::validate_stats_json(std::string(1'000'000, '[')).ok);
 }
 
 // ---------------------------------------------------------------------------

@@ -22,10 +22,7 @@
 // container, so later readers can address any slab without loading the
 // whole archive (DESIGN.md §12); `decompress` on a sequence archive
 // decodes either one step (`--step K`, reading only that step's bytes)
-// or every step concurrently through the chunk fetcher.  `bench-gate`
-// compares two rmp-bench-core-v1 reports and fails (exit 1) when the
-// candidate's aggregate encode or decode throughput regressed by more
-// than the threshold (default 15%) -- the CI perf gate.
+// or every step concurrently through the chunk fetcher.
 // `--method auto` runs the predictive selector (no trial compression).
 // `--guard` routes the compression through the guard layer: pre-flight
 // data audit, NaN/Inf masking into a losslessly stored nanmask section,
@@ -112,11 +109,6 @@ struct Args {
   bool best_effort = false;
   bool seekable = false;  ///< --seekable: embed the v4 chunk index
   std::optional<std::uint64_t> step;  ///< --step K: one sequence step
-  double threshold = 15.0;  ///< --threshold PCT for bench-gate
-  bool codec_given = false;  ///< --codec was passed explicitly
-  /// --min-speedup X for bench-gate: require candidate aggregate
-  /// encode+decode throughput >= X times the baseline's.
-  std::optional<double> min_speedup;
   bool guard = false;
   std::optional<double> verify_bound;
   bool emit_stats = false;
@@ -143,10 +135,7 @@ std::vector<tools::Flag> rmpc_flags(Args& args) {
   return {
       {"--dims", "NX[,NY[,NZ]]", Flag::Shape(store(args.dims))},
       {"--method", "NAME", Flag::Text(store(args.method))},
-      {"--codec", "sz|zfp", Flag::Text([&args](std::string codec) {
-         args.codec = std::move(codec);
-         args.codec_given = true;
-       })},
+      {"--codec", "sz|zfp", Flag::Text(store(args.codec))},
       {"--no-parity", "", Flag::Switch([&args] { args.no_parity = true; })},
       {"--best-effort", "", Flag::Switch([&args] { args.best_effort = true; })},
       {"--seekable", "", Flag::Switch([&args] { args.seekable = true; })},
@@ -154,8 +143,6 @@ std::vector<tools::Flag> rmpc_flags(Args& args) {
       {"--guard", "", Flag::Switch([&args] { args.guard = true; })},
       {"--verify-bound", "EPS", bound},
       {"--error-bound", "EPS", bound},
-      {"--threshold", "PCT", Flag::Real(store(args.threshold))},
-      {"--min-speedup", "X", Flag::Real(store(args.min_speedup))},
       {"--stats", "FILE",
        Flag::OptionalValue([&args](std::optional<std::string> path) {
          args.emit_stats = true;
@@ -195,8 +182,6 @@ constexpr Synopsis kSynopses[] = {
      "--method --codec --no-parity --seekable"},
     {"resume", "<in1.f64> [<in2.f64> ...] <out.rmps> --dims NX[,NY[,NZ]]",
      "--method --codec --no-parity --seekable"},
-    {"bench-gate", "<baseline.json> <candidate.json>",
-     "--threshold --codec --min-speedup"},
     {"serve", "", ""},  // every daemon flag, as rmpd
     {"client", "ping|stats|scrub --port N", ""},
     {"client", "encode <in.f64> [<out.rmp>] --dims NX[,NY[,NZ]] --port N",
@@ -459,9 +444,8 @@ int cmd_info(const Args& args) {
   return 0;
 }
 
-/// `rmpc stats <report.json>`: schema-validate an observability or bench
-/// report (rmp-obs-v1 / rmp-bench-core-v1).  Used by CI to gate
-/// BENCH_core.json.
+/// `rmpc stats <report.json>`: schema-validate an rmp-obs-v1
+/// observability report (the `--stats` output).
 int cmd_stats_validate(const std::string& path) {
   std::ifstream file(path, std::ios::binary);
   if (!file) {
@@ -651,125 +635,6 @@ int cmd_sequence(const Args& args, bool resume_mode) {
               args.no_parity ? "" : " (+parity)", committed,
               total_steps - committed, appended_bytes);
   return 0;
-}
-
-/// One side of the bench-gate comparison: total bytes pushed through
-/// encode/decode and the seconds they took, summed over every run in an
-/// rmp-bench-core-v1 report.  Gating on the aggregate (not per-run)
-/// throughput keeps the CI signal stable -- individual sub-millisecond
-/// runs are too noisy for a percentage threshold.
-struct BenchAggregate {
-  double bytes = 0;
-  double encode_seconds = 0;
-  double decode_seconds = 0;
-  std::size_t runs = 0;
-
-  double encode_throughput() const {
-    return encode_seconds > 0 ? bytes / encode_seconds : 0;
-  }
-  double decode_throughput() const {
-    return decode_seconds > 0 ? bytes / decode_seconds : 0;
-  }
-  /// One number for the whole round trip: bytes over encode+decode wall
-  /// time.  This is what --min-speedup gates.
-  double combined_throughput() const {
-    const double total = encode_seconds + decode_seconds;
-    return total > 0 ? bytes / total : 0;
-  }
-};
-
-BenchAggregate load_bench_report(const std::string& path,
-                                 const std::string& codec_filter) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    std::fprintf(stderr, "rmpc: cannot open %s\n", path.c_str());
-    std::exit(tools::kExitIo);
-  }
-  std::stringstream buffer;
-  buffer << file.rdbuf();
-  const std::string text = buffer.str();
-  const auto validation = obs::validate_stats_json(text);
-  if (!validation.ok || validation.schema != "rmp-bench-core-v1") {
-    std::fprintf(stderr, "rmpc: %s is not a valid rmp-bench-core-v1 "
-                 "report: %s\n",
-                 path.c_str(),
-                 validation.ok ? ("schema is " + validation.schema).c_str()
-                               : validation.error.c_str());
-    std::exit(tools::kExitIntegrity);
-  }
-  const obs::JsonValue doc = obs::json_parse(text);
-  BenchAggregate aggregate;
-  const obs::JsonValue* runs = doc.find("runs");
-  for (const auto& run : runs->array) {
-    if (!codec_filter.empty()) {
-      const obs::JsonValue* codec = run.find("codec");
-      if (codec == nullptr || codec->string != codec_filter) continue;
-    }
-    aggregate.bytes += run.find("original_bytes")->number;
-    aggregate.encode_seconds += run.find("encode_seconds")->number;
-    aggregate.decode_seconds += run.find("decode_seconds")->number;
-    ++aggregate.runs;
-  }
-  if (!codec_filter.empty() && aggregate.runs == 0) {
-    std::fprintf(stderr, "rmpc: %s has no runs with codec \"%s\"\n",
-                 path.c_str(), codec_filter.c_str());
-    std::exit(tools::kExitIntegrity);
-  }
-  return aggregate;
-}
-
-/// `rmpc bench-gate <baseline.json> <candidate.json> [--threshold PCT]
-/// [--codec NAME] [--min-speedup X]`: the CI perf gate.  Exit 0 when the
-/// candidate's aggregate encode AND decode throughput are within PCT
-/// percent of the baseline (default 15); exit 1 naming the regressed
-/// direction otherwise.  `--codec` restricts both reports to runs of one
-/// codec; `--min-speedup X` additionally requires the candidate's combined
-/// encode+decode throughput to be at least X times the baseline's (the
-/// SZ-hot-path criterion of DESIGN.md §13).
-int cmd_bench_gate(const Args& args) {
-  if (args.positional.size() != 2) usage_and_exit();
-  const std::string filter = args.codec_given ? args.codec : std::string();
-  const BenchAggregate base = load_bench_report(args.positional[0], filter);
-  const BenchAggregate cand = load_bench_report(args.positional[1], filter);
-
-  bool failed = false;
-  const auto gate = [&](const char* what, double base_tp, double cand_tp) {
-    const double drop =
-        base_tp > 0 ? (base_tp - cand_tp) / base_tp * 100.0 : 0.0;
-    std::printf("%s throughput: baseline %.3f MB/s, candidate %.3f MB/s "
-                "(%+.1f%%)\n",
-                what, base_tp / 1e6, cand_tp / 1e6, -drop);
-    if (drop > args.threshold) {
-      std::fprintf(stderr,
-                   "rmpc: %s throughput regressed %.1f%% "
-                   "(threshold %.1f%%)\n",
-                   what, drop, args.threshold);
-      failed = true;
-    }
-  };
-  gate("encode", base.encode_throughput(), cand.encode_throughput());
-  gate("decode", base.decode_throughput(), cand.decode_throughput());
-  if (args.min_speedup) {
-    const double base_tp = base.combined_throughput();
-    const double cand_tp = cand.combined_throughput();
-    const double speedup = base_tp > 0 ? cand_tp / base_tp : 0.0;
-    std::printf("combined throughput: baseline %.3f MB/s, candidate "
-                "%.3f MB/s (%.2fx, required >= %.2fx)\n",
-                base_tp / 1e6, cand_tp / 1e6, speedup, *args.min_speedup);
-    if (speedup < *args.min_speedup) {
-      std::fprintf(stderr,
-                   "rmpc: combined throughput speedup %.2fx is below the "
-                   "required %.2fx\n",
-                   speedup, *args.min_speedup);
-      failed = true;
-    }
-  }
-  if (failed) return tools::kExitInternal;
-  std::printf("bench-gate: OK (%zu baseline runs vs %zu candidate runs, "
-              "threshold %.1f%%%s)\n",
-              base.runs, cand.runs, args.threshold,
-              filter.empty() ? "" : (", codec " + filter).c_str());
-  return tools::kExitOk;
 }
 
 int cmd_predict(const Args& args) {
@@ -1023,7 +888,6 @@ int run_command(const std::string& command, const Args& args) {
   if (command == "repair") return cmd_repair(args);
   if (command == "sequence") return cmd_sequence(args, /*resume_mode=*/false);
   if (command == "resume") return cmd_sequence(args, /*resume_mode=*/true);
-  if (command == "bench-gate") return cmd_bench_gate(args);
   if (command == "client") return cmd_client(args);
   usage_and_exit();
 }
