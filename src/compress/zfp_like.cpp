@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "compress/bitstream.hpp"
+#include "compress/codec_error.hpp"
 #include "obs/obs.hpp"
 
 namespace rmp::compress {
@@ -37,14 +40,44 @@ int value_exponent(double v) {
   return e;
 }
 
-std::int64_t to_fixed(double v, int emax) {
-  // |v| < 2^emax implies |result| <= 2^61, leaving headroom for the
-  // transform's range expansion.
-  return static_cast<std::int64_t>(std::ldexp(v, 61 - emax));
+// 2^e when that is a normal double, else 0.  Scaling by a normal power of
+// two is exact up to the final rounding, so `v * pow2(e)` equals
+// `ldexp(v, e)` bit for bit; callers fall back to ldexp when this is 0.
+double pow2(int e) {
+  if (e < -1022 || e > 1023) return 0.0;
+  return std::bit_cast<double>(static_cast<std::uint64_t>(e + 1023) << 52);
 }
 
-double from_fixed(std::int64_t q, int emax) {
-  return std::ldexp(static_cast<double>(q), emax - 61);
+// |v| < 2^emax implies |result| <= 2^61, leaving headroom for the
+// transform's range expansion.
+void to_fixed(const double* block, std::int64_t* fixed, std::size_t size,
+              int emax) {
+  const int e = 61 - emax;
+  if (const double scale = pow2(e); scale != 0.0) {
+    for (std::size_t i = 0; i < size; ++i) {
+      fixed[i] = static_cast<std::int64_t>(block[i] * scale);
+    }
+  } else {
+    for (std::size_t i = 0; i < size; ++i) {
+      fixed[i] = static_cast<std::int64_t>(std::ldexp(block[i], e));
+    }
+  }
+}
+
+void from_fixed(const std::uint64_t* fixed, double* block, std::size_t size,
+                int emax) {
+  const int e = emax - 61;
+  if (const double scale = pow2(e); scale != 0.0) {
+    for (std::size_t i = 0; i < size; ++i) {
+      block[i] = static_cast<double>(static_cast<std::int64_t>(fixed[i])) *
+                 scale;
+    }
+  } else {
+    for (std::size_t i = 0; i < size; ++i) {
+      block[i] = std::ldexp(
+          static_cast<double>(static_cast<std::int64_t>(fixed[i])), e);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -61,24 +94,6 @@ void forward_lift(std::int64_t* p, std::size_t stride) {
   x += z; x >>= 1; z -= x;
   w += y; w >>= 1; y -= w;
   w += y >> 1; y -= w >> 1;
-
-  p[0 * stride] = x;
-  p[1 * stride] = y;
-  p[2 * stride] = z;
-  p[3 * stride] = w;
-}
-
-void inverse_lift(std::int64_t* p, std::size_t stride) {
-  std::int64_t x = p[0 * stride];
-  std::int64_t y = p[1 * stride];
-  std::int64_t z = p[2 * stride];
-  std::int64_t w = p[3 * stride];
-
-  y += w >> 1; w -= y >> 1;
-  y += w; w <<= 1; w -= y;
-  z += x; x <<= 1; x -= z;
-  y += z; z <<= 1; z -= y;
-  w += x; x <<= 1; x -= w;
 
   p[0 * stride] = x;
   p[1 * stride] = y;
@@ -108,55 +123,90 @@ void forward_transform(std::int64_t* block, unsigned rank) {
       forward_lift(block + 4 * y + x, 16);
 }
 
-void inverse_transform(std::int64_t* block, unsigned rank) {
+// The decoder lifts in wrapping unsigned arithmetic.  On coefficients an
+// encoder wrote nothing overflows, so the result equals the signed lift bit
+// for bit; a hostile stream's coefficients (up to 2^63) wrap instead of
+// overflowing a signed integer.  asr1 is the arithmetic shift right by one,
+// written without a signed shift so that the lanes below vectorize.
+std::uint64_t asr1(std::uint64_t v) {
+  return (v >> 1) | (v & (std::uint64_t{1} << 63));
+}
+
+// Inverse lift of `Lanes` adjacent 4-vectors at once: vector l is
+// p[l + m * Stride] for m = 0..3.
+template <std::size_t Stride, std::size_t Lanes>
+void inverse_lift(std::uint64_t* p) {
+  for (std::size_t l = 0; l < Lanes; ++l) {
+    std::uint64_t x = p[l];
+    std::uint64_t y = p[l + Stride];
+    std::uint64_t z = p[l + 2 * Stride];
+    std::uint64_t w = p[l + 3 * Stride];
+
+    y += asr1(w); w -= asr1(y);
+    y += w; w <<= 1; w -= y;
+    z += x; x <<= 1; x -= z;
+    y += z; z <<= 1; z -= y;
+    w += x; x <<= 1; x -= w;
+
+    p[l] = x;
+    p[l + Stride] = y;
+    p[l + 2 * Stride] = z;
+    p[l + 3 * Stride] = w;
+  }
+}
+
+// The forward passes in reverse axis order: z, then y, then x.
+void inverse_transform(std::uint64_t* block, unsigned rank) {
   if (rank == 1) {
-    inverse_lift(block, 1);
+    inverse_lift<1, 1>(block);
     return;
   }
   if (rank == 2) {
-    for (std::size_t col = 0; col < 4; ++col) inverse_lift(block + col, 4);
-    for (std::size_t row = 0; row < 4; ++row) inverse_lift(block + 4 * row, 1);
+    inverse_lift<4, 4>(block);
+    for (std::size_t row = 0; row < 4; ++row) {
+      inverse_lift<1, 1>(block + 4 * row);
+    }
     return;
   }
-  for (std::size_t y = 0; y < 4; ++y)
-    for (std::size_t x = 0; x < 4; ++x)
-      inverse_lift(block + 4 * y + x, 16);
-  for (std::size_t z = 0; z < 4; ++z)
-    for (std::size_t x = 0; x < 4; ++x)
-      inverse_lift(block + 16 * z + x, 4);
-  for (std::size_t z = 0; z < 4; ++z)
-    for (std::size_t y = 0; y < 4; ++y)
-      inverse_lift(block + 16 * z + 4 * y, 1);
+  inverse_lift<16, 16>(block);
+  for (std::size_t z = 0; z < 4; ++z) inverse_lift<4, 4>(block + 16 * z);
+  for (std::size_t row = 0; row < 16; ++row) {
+    inverse_lift<1, 1>(block + 4 * row);
+  }
 }
 
 // Coefficient visiting order: ascending total sequency (i+j+k), matching
 // ZFP's idea that low-frequency coefficients carry the energy.  Ties are
-// broken by flat index so encoder and decoder agree.
-std::vector<std::size_t> sequency_permutation(unsigned rank) {
-  const std::size_t size = std::size_t{1} << (2 * rank);
-  std::vector<std::size_t> perm(size);
-  std::iota(perm.begin(), perm.end(), 0);
-  auto sequency = [rank](std::size_t flat) {
-    unsigned s = 0;
-    for (unsigned d = 0; d < rank; ++d) {
-      s += static_cast<unsigned>(flat & 3);
-      flat >>= 2;
+// broken by flat index so encoder and decoder agree.  Built once per rank.
+const std::uint8_t* sequency_permutation(unsigned rank) {
+  static const auto tables = [] {
+    std::array<std::array<std::uint8_t, 64>, 4> t{};
+    for (unsigned r = 1; r <= 3; ++r) {
+      auto sequency = [r](std::size_t flat) {
+        unsigned s = 0;
+        for (unsigned d = 0; d < r; ++d, flat >>= 2) {
+          s += static_cast<unsigned>(flat & 3);
+        }
+        return s;
+      };
+      const auto perm = t[r].begin();
+      const auto end = perm + (std::ptrdiff_t{1} << (2 * r));
+      std::iota(perm, end, 0);
+      std::stable_sort(perm, end, [&](std::size_t a, std::size_t b) {
+        return sequency(a) < sequency(b);
+      });
     }
-    return s;
-  };
-  std::stable_sort(perm.begin(), perm.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return sequency(a) < sequency(b);
-                   });
-  return perm;
+    return t;
+  }();
+  return tables[rank].data();
 }
 
 std::uint64_t to_negabinary(std::int64_t x) {
   return (static_cast<std::uint64_t>(x) + kNbMask) ^ kNbMask;
 }
 
-std::int64_t from_negabinary(std::uint64_t u) {
-  return static_cast<std::int64_t>((u ^ kNbMask) - kNbMask);
+std::uint64_t from_negabinary(std::uint64_t u) {
+  return (u ^ kNbMask) - kNbMask;
 }
 
 // ---------------------------------------------------------------------------
@@ -170,12 +220,14 @@ constexpr std::size_t kUnlimited = static_cast<std::size_t>(-1);
 // Group-testing significance coding, transcribed from ZFP's encode loop.
 // `n` (the watermark of coefficients encoded verbatim) persists across
 // planes: once the scan has walked past a position, later planes carry its
-// bit verbatim.  Returns bits actually written.
+// bit verbatim.  Past the watermark each step is a group test ("any 1
+// left?") followed, when positive, by a unary run of 0s up to the next 1;
+// the 1 of the last coefficient is implied, and the run is clipped to the
+// budget.  Returns bits actually written.
 std::size_t encode_planes(BitWriter& writer, const std::uint64_t* coeffs,
                           std::size_t size, unsigned planes,
                           std::size_t budget = kUnlimited) {
   std::size_t used = 0;
-  auto can = [&](std::size_t bits) { return used + bits <= budget; };
   std::size_t n = 0;
   for (unsigned k = kIntPrec; planes-- > 0 && k-- > 0 && used < budget;) {
     // Gather bit plane k in visiting order (bit i of x = coefficient i).
@@ -192,38 +244,41 @@ std::size_t encode_planes(BitWriter& writer, const std::uint64_t* coeffs,
     // n can reach 64 once every coefficient is significant; shifting a
     // 64-bit value by 64 is undefined, so clamp to "all bits consumed".
     x = n < 64 ? x >> n : 0;
-    // Remaining coefficients: group test ("any 1 left?"), then a unary
-    // scan to the next 1.  When only one coefficient remains after a
-    // positive group test, its 1 is implied and not emitted.
     std::size_t i = n;
-    while (i < size && can(1)) {
-      const bool any = (x != 0);
-      writer.put_bit(any);
-      ++used;
-      if (!any) break;
-      while (i + 1 < size && can(1)) {
-        const bool bit = (x & 1) != 0;
-        writer.put_bit(bit);
+    while (i < size && used < budget) {
+      if (x == 0) {  // negative group test
+        writer.put_bit(false);
         ++used;
-        if (bit) break;
-        x >>= 1;
-        ++i;
+        break;
       }
-      // Consume the significant coefficient (explicit 1 or implied last).
-      x >>= 1;
-      ++i;
+      // Positive group test plus the run, written as one put_bits.
+      const auto run = static_cast<unsigned>(
+          std::min(size - i - 1, budget - used - 1));
+      const auto zeros = static_cast<unsigned>(std::countr_zero(x));
+      if (zeros >= run) {  // implied last 1, or out of budget: scan ends
+        writer.put_bits(1, run + 1);
+        used += run + 1;
+        i += run + 1;
+        break;
+      }
+      writer.put_bits(1 | (std::uint64_t{2} << zeros), zeros + 2);
+      used += zeros + 2;
+      i += zeros + 1;
+      x >>= zeros + 1;
     }
     n = std::max(n, i);
   }
   return used;
 }
 
+// Mirror of encode_planes.  Each group test and its run are scanned from
+// one peek_bits window; the set bits of the plane are then scattered into
+// the coefficients one by one.
 std::size_t decode_planes(BitReader& reader, std::uint64_t* coeffs,
                           std::size_t size, unsigned planes,
                           std::size_t budget = kUnlimited) {
   std::fill(coeffs, coeffs + size, 0);
   std::size_t used = 0;
-  auto can = [&](std::size_t bits) { return used + bits <= budget; };
   std::size_t n = 0;
   for (unsigned k = kIntPrec; planes-- > 0 && k-- > 0 && used < budget;) {
     const auto verbatim = static_cast<unsigned>(
@@ -231,24 +286,32 @@ std::size_t decode_planes(BitReader& reader, std::uint64_t* coeffs,
     std::uint64_t x = reader.get_bits(verbatim);
     used += verbatim;
     std::size_t i = n;
-    while (i < size && can(1)) {
-      const bool any = reader.get_bit();
-      ++used;
-      if (!any) break;  // group test: no 1 remains
-      while (i + 1 < size && can(1)) {
-        const bool bit = reader.get_bit();
+    while (i < size && used < budget) {
+      const auto run = static_cast<unsigned>(
+          std::min(size - i - 1, budget - used - 1));
+      // peek_bits reads past-the-end bits as 0; skip_bits then throws.
+      const std::uint64_t window = reader.peek_bits(run + 1);
+      if ((window & 1) == 0) {  // negative group test
+        reader.skip_bits(1);
         ++used;
-        if (bit) break;
-        ++i;
+        break;
       }
-      // Explicit 1, implied last coefficient, or budget truncation --
-      // in every case the watermark advances exactly as in the encoder.
+      const std::uint64_t tail = window >> 1;
+      const auto zeros = tail != 0
+                             ? static_cast<unsigned>(std::countr_zero(tail))
+                             : run;
+      // An explicit 1 costs one more bit than the implied or truncated one.
+      const unsigned bits = zeros + (zeros < run ? 2 : 1);
+      reader.skip_bits(bits);
+      used += bits;
+      i += zeros;
       x |= std::uint64_t{1} << i;
       ++i;
+      if (zeros >= run) break;
     }
     n = std::max(n, i);
-    for (std::size_t j = 0; j < size; ++j, x >>= 1) {
-      if (x & 1) coeffs[j] |= std::uint64_t{1} << k;
+    for (; x != 0; x &= x - 1) {
+      coeffs[std::countr_zero(x)] |= std::uint64_t{1} << k;
     }
   }
   return used;
@@ -257,34 +320,39 @@ std::size_t decode_planes(BitReader& reader, std::uint64_t* coeffs,
 // ---------------------------------------------------------------------------
 // Block gather/scatter with edge replication for partial blocks.
 
+// Blocks along an axis of extent n; no overflow even for n near SIZE_MAX.
+std::size_t blocks_along(std::size_t n) { return n / 4 + (n % 4 != 0); }
+
 struct BlockIndexer {
   Dims dims;
   unsigned rank;
 
-  std::size_t blocks_x() const { return (dims.nx + 3) / 4; }
-  std::size_t blocks_y() const { return rank >= 2 ? (dims.ny + 3) / 4 : 1; }
-  std::size_t blocks_z() const { return rank >= 3 ? (dims.nz + 3) / 4 : 1; }
+  std::size_t blocks_x() const { return blocks_along(dims.nx); }
+  std::size_t blocks_y() const { return rank >= 2 ? blocks_along(dims.ny) : 1; }
+  std::size_t blocks_z() const { return rank >= 3 ? blocks_along(dims.nz) : 1; }
   std::size_t block_count() const {
     return blocks_x() * blocks_y() * blocks_z();
   }
   std::size_t block_size() const { return std::size_t{1} << (2 * rank); }
 };
 
+// Block value (x, y, z) is block[x + 4y + 16z]; z is the field's fastest
+// axis, so both loops walk each (x, y) row of up to 4 contiguous cells.
 void gather_block(std::span<const double> data, const BlockIndexer& bi,
                   std::size_t bx, std::size_t by, std::size_t bz,
                   double* block) {
   const Dims& d = bi.dims;
   const std::size_t ix0 = bx * 4, iy0 = by * 4, iz0 = bz * 4;
-  std::size_t out = 0;
-  const std::size_t zext = bi.rank >= 3 ? 4 : 1;
   const std::size_t yext = bi.rank >= 2 ? 4 : 1;
-  for (std::size_t z = 0; z < zext; ++z) {
-    const std::size_t iz = std::min(iz0 + z, d.nz - 1);
+  const std::size_t zext = bi.rank >= 3 ? 4 : 1;
+  // Partial blocks replicate the last cell along each axis.
+  for (std::size_t x = 0; x < 4; ++x) {
+    const std::size_t ix = std::min(ix0 + x, d.nx - 1);
     for (std::size_t y = 0; y < yext; ++y) {
       const std::size_t iy = std::min(iy0 + y, d.ny - 1);
-      for (std::size_t x = 0; x < 4; ++x) {
-        const std::size_t ix = std::min(ix0 + x, d.nx - 1);
-        block[out++] = data[(ix * d.ny + iy) * d.nz + iz];
+      const double* row = data.data() + (ix * d.ny + iy) * d.nz;
+      for (std::size_t z = 0; z < zext; ++z) {
+        block[x + 4 * y + 16 * z] = row[std::min(iz0 + z, d.nz - 1)];
       }
     }
   }
@@ -295,16 +363,17 @@ void scatter_block(std::span<double> data, const BlockIndexer& bi,
                    const double* block) {
   const Dims& d = bi.dims;
   const std::size_t ix0 = bx * 4, iy0 = by * 4, iz0 = bz * 4;
-  std::size_t in = 0;
-  const std::size_t zext = bi.rank >= 3 ? 4 : 1;
-  const std::size_t yext = bi.rank >= 2 ? 4 : 1;
-  for (std::size_t z = 0; z < zext; ++z) {
+  // Partial blocks write only the cells inside the field.
+  const std::size_t xext = std::min<std::size_t>(4, d.nx - ix0);
+  const std::size_t yext =
+      bi.rank >= 2 ? std::min<std::size_t>(4, d.ny - iy0) : 1;
+  const std::size_t zext =
+      bi.rank >= 3 ? std::min<std::size_t>(4, d.nz - iz0) : 1;
+  for (std::size_t x = 0; x < xext; ++x) {
     for (std::size_t y = 0; y < yext; ++y) {
-      for (std::size_t x = 0; x < 4; ++x, ++in) {
-        const std::size_t ix = ix0 + x, iy = iy0 + y, iz = iz0 + z;
-        if (ix < d.nx && iy < d.ny && iz < d.nz) {
-          data[(ix * d.ny + iy) * d.nz + iz] = block[in];
-        }
+      double* row = data.data() + ((ix0 + x) * d.ny + iy0 + y) * d.nz + iz0;
+      for (std::size_t z = 0; z < zext; ++z) {
+        row[z] = block[x + 4 * y + 16 * z];
       }
     }
   }
@@ -320,28 +389,44 @@ unsigned planes_for_block(const ZfpOptions& opts, int emax) {
   // FixedAccuracy: the LSB of the fixed-point representation is worth
   // 2^(emax - 61); keep planes down to the one whose weight is still above
   // tolerance / 16 (4 bits of slack for negabinary truncation and the
-  // inverse transform's range expansion).
-  const double tol = std::max(opts.tolerance, 0.0);
-  if (tol <= 0.0) return kIntPrec;
-  const int tol_exp = value_exponent(tol);
+  // inverse transform's range expansion).  options_error() has checked
+  // that the tolerance is finite and positive.
+  const int tol_exp = value_exponent(opts.tolerance);
   const int lsb_exp = emax - 61;
   const int keep = 64 - (tol_exp - 4 - lsb_exp);
   return static_cast<unsigned>(std::clamp(keep, 1, static_cast<int>(kIntPrec)));
 }
 
+// Why `opts` cannot drive the codec, or "" if it can.  The constructor
+// raises it as std::invalid_argument, the decoder (for a stream header) as
+// a CodecError.
+std::string options_error(const ZfpOptions& opts) {
+  switch (opts.mode) {
+    case ZfpMode::kFixedPrecision:
+      if (opts.precision == 0 || opts.precision > 62) {
+        return "precision must be in 1..62";
+      }
+      return "";
+    case ZfpMode::kFixedAccuracy:
+      if (!(std::isfinite(opts.tolerance) && opts.tolerance > 0.0)) {
+        return "tolerance must be finite and positive";
+      }
+      return "";
+    case ZfpMode::kFixedRate:
+      if (opts.rate == 0 || opts.rate > 64) return "rate must be in 1..64";
+      return "";
+  }
+  return "unknown mode";
+}
+
+// Fixed rate needs room for the 13-bit block header plus one plane bit.
+constexpr std::size_t kMinBlockBudget = 14;
+
 }  // namespace
 
 ZfpCompressor::ZfpCompressor(ZfpOptions options) : options_(options) {
-  if (options_.mode == ZfpMode::kFixedPrecision &&
-      (options_.precision == 0 || options_.precision > 62)) {
-    throw std::invalid_argument("ZfpCompressor: precision must be in 1..62");
-  }
-  if (options_.mode == ZfpMode::kFixedAccuracy && options_.tolerance <= 0.0) {
-    throw std::invalid_argument("ZfpCompressor: tolerance must be positive");
-  }
-  if (options_.mode == ZfpMode::kFixedRate &&
-      (options_.rate == 0 || options_.rate > 64)) {
-    throw std::invalid_argument("ZfpCompressor: rate must be in 1..64");
+  if (const std::string why = options_error(options_); !why.empty()) {
+    throw std::invalid_argument("ZfpCompressor: " + why);
   }
 }
 
@@ -364,7 +449,7 @@ std::vector<std::uint8_t> ZfpCompressor::compress(std::span<const double> data,
   const unsigned rank = dims.rank();
   const BlockIndexer bi{dims, rank};
   const std::size_t bsize = bi.block_size();
-  const auto perm = sequency_permutation(rank);
+  const std::uint8_t* perm = sequency_permutation(rank);
 
   BitWriter writer;
   // The one-byte field carries the precision (fixed precision) or the
@@ -393,22 +478,27 @@ std::vector<std::uint8_t> ZfpCompressor::compress(std::span<const double> data,
   const bool fixed_rate = options_.mode == ZfpMode::kFixedRate;
   const std::size_t block_budget =
       fixed_rate ? static_cast<std::size_t>(options_.rate) * bsize : kUnlimited;
-  if (fixed_rate && block_budget < 14) {
+  if (fixed_rate && block_budget < kMinBlockBudget) {
     throw std::invalid_argument(
         "ZfpCompressor: rate too low for this rank (need >= 14 bits/block)");
   }
 
-  for (std::size_t bz = 0; bz < bi.blocks_z(); ++bz) {
+  // An empty field has no blocks (gather_block needs every extent >= 1).
+  const std::size_t blocks_z = data.empty() ? 0 : bi.blocks_z();
+  for (std::size_t bz = 0; bz < blocks_z; ++bz) {
     for (std::size_t by = 0; by < bi.blocks_y(); ++by) {
       for (std::size_t bx = 0; bx < bi.blocks_x(); ++bx) {
         gather_block(data, bi, bx, by, bz, block.data());
 
-        int emax = -kExponentBias;
+        // frexp's exponent is monotone in |v|, so the largest |v| carries
+        // the block exponent.
+        double vmax = 0.0;
         bool finite = true;
         for (double v : block) {
           if (!std::isfinite(v)) finite = false;
-          emax = std::max(emax, value_exponent(v));
+          vmax = std::max(vmax, std::fabs(v));
         }
+        const int emax = value_exponent(vmax);
         std::size_t used = 0;
         if (!finite || emax == -kExponentBias) {
           // All-zero (or non-finite, stored as zero) block: 1-bit flag.
@@ -420,9 +510,7 @@ std::vector<std::uint8_t> ZfpCompressor::compress(std::span<const double> data,
                           12);
           used = 13;
 
-          for (std::size_t i = 0; i < bsize; ++i) {
-            fixed[i] = to_fixed(block[i], emax);
-          }
+          to_fixed(block.data(), fixed.data(), bsize, emax);
           forward_transform(fixed.data(), rank);
           for (std::size_t i = 0; i < bsize; ++i) {
             coeffs[i] = to_negabinary(fixed[perm[i]]);
@@ -432,8 +520,11 @@ std::vector<std::uint8_t> ZfpCompressor::compress(std::span<const double> data,
               fixed_rate ? block_budget - used : kUnlimited);
         }
         // Fixed rate: pad every block to exactly its budget.
-        for (; fixed_rate && used < block_budget; ++used) {
-          writer.put_bit(false);
+        while (fixed_rate && used < block_budget) {
+          const auto pad = static_cast<unsigned>(
+              std::min<std::size_t>(64, block_budget - used));
+          writer.put_bits(0, pad);
+          used += pad;
         }
       }
     }
@@ -446,68 +537,100 @@ std::vector<std::uint8_t> ZfpCompressor::compress(std::span<const double> data,
 std::vector<double> ZfpCompressor::decompress(
     std::span<const std::uint8_t> stream) const {
   const obs::ScopedSpan span("codec/zfp");
-  BitReader reader(stream);
+  auto error = [](CodecErrc code, const std::string& detail) {
+    return CodecError(code, "ZFP decode: " + detail);
+  };
+  // Every header field is checked before it sizes or steers anything.
   Header header;
-  auto* hb = reinterpret_cast<std::uint8_t*>(&header);
-  for (std::size_t i = 0; i < sizeof(header); ++i) {
-    hb[i] = static_cast<std::uint8_t>(reader.get_bits(8));
+  if (stream.size() < sizeof(header)) {
+    throw error(CodecErrc::kTruncated, "stream ends inside the header");
   }
+  std::memcpy(&header, stream.data(), sizeof(header));
   if (header.magic != kMagic) {
-    throw std::runtime_error("ZFP decode: bad magic");
+    throw error(CodecErrc::kMalformedStream, "bad magic");
   }
-  const Dims dims{header.nx, header.ny, header.nz};
+  if (header.mode > static_cast<std::uint8_t>(ZfpMode::kFixedRate)) {
+    throw error(CodecErrc::kMalformedStream,
+                "unknown mode " + std::to_string(header.mode));
+  }
   ZfpOptions opts;
   opts.mode = static_cast<ZfpMode>(header.mode);
   opts.precision = header.precision;
   opts.rate = header.precision;  // shared one-byte field, see compress()
   opts.tolerance = header.tolerance;
+  if (const std::string why = options_error(opts); !why.empty()) {
+    throw error(CodecErrc::kMalformedStream, why);
+  }
 
+  const Dims dims{header.nx, header.ny, header.nz};
+  std::size_t cells = 0;
+  if (__builtin_mul_overflow(dims.nx, dims.ny, &cells) ||
+      __builtin_mul_overflow(cells, dims.nz, &cells)) {
+    throw error(CodecErrc::kCountOverflow, "nx * ny * nz overflows");
+  }
+  // An empty field has no blocks (scatter_block needs every extent >= 1).
+  if (cells == 0) return {};
   const unsigned rank = dims.rank();
   const BlockIndexer bi{dims, rank};
   const std::size_t bsize = bi.block_size();
-  const auto perm = sequency_permutation(rank);
-
-  std::vector<double> out(dims.count(), 0.0);
-  std::vector<double> block(bsize);
-  std::vector<std::int64_t> fixed(bsize);
-  std::vector<std::uint64_t> coeffs(bsize);
+  const std::uint8_t* perm = sequency_permutation(rank);
 
   const bool fixed_rate = opts.mode == ZfpMode::kFixedRate;
   const std::size_t block_budget =
       fixed_rate ? static_cast<std::size_t>(opts.rate) * bsize : kUnlimited;
+  if (fixed_rate && block_budget < kMinBlockBudget) {
+    throw error(CodecErrc::kMalformedStream, "rate too low for this rank");
+  }
+  // A block costs at least its 1-bit flag, and exactly its budget in fixed
+  // rate: cap the block count by the stream before `out` is sized.
+  BitReader reader(stream.subspan(sizeof(header)));
+  const std::size_t min_block_bits = fixed_rate ? block_budget : 1;
+  if (bi.block_count() > reader.remaining_bits() / min_block_bits) {
+    throw error(fixed_rate ? CodecErrc::kTruncated : CodecErrc::kCountOverflow,
+                "header claims " + std::to_string(bi.block_count()) +
+                    " blocks, the stream holds " +
+                    std::to_string(reader.remaining_bits()) + " bits");
+  }
 
-  for (std::size_t bz = 0; bz < bi.blocks_z(); ++bz) {
-    for (std::size_t by = 0; by < bi.blocks_y(); ++by) {
-      for (std::size_t bx = 0; bx < bi.blocks_x(); ++bx) {
-        std::size_t used = 0;
-        if (!reader.get_bit()) {
-          used = 1;
-          std::fill(block.begin(), block.end(), 0.0);
-        } else {
-          const int emax =
-              static_cast<int>(reader.get_bits(12)) - kExponentBias;
-          used = 13;
-          used += decode_planes(reader, coeffs.data(), bsize,
-                                planes_for_block(opts, emax),
-                                fixed_rate ? block_budget - used : kUnlimited);
-          for (std::size_t i = 0; i < bsize; ++i) {
-            fixed[perm[i]] = from_negabinary(coeffs[i]);
+  std::vector<double> out(cells);
+  std::vector<double> block(bsize);
+  std::vector<std::uint64_t> fixed(bsize);
+  std::vector<std::uint64_t> coeffs(bsize);
+
+  // The reader's own bounds check is the one truncation check: it throws
+  // std::out_of_range, reported here once per stream.
+  try {
+    for (std::size_t bz = 0; bz < bi.blocks_z(); ++bz) {
+      for (std::size_t by = 0; by < bi.blocks_y(); ++by) {
+        for (std::size_t bx = 0; bx < bi.blocks_x(); ++bx) {
+          std::size_t used = 1;
+          if (!reader.get_bit()) {
+            std::fill(block.begin(), block.end(), 0.0);
+          } else {
+            const int emax =
+                static_cast<int>(reader.get_bits(12)) - kExponentBias;
+            used = 13;
+            used += decode_planes(
+                reader, coeffs.data(), bsize, planes_for_block(opts, emax),
+                fixed_rate ? block_budget - used : kUnlimited);
+            for (std::size_t i = 0; i < bsize; ++i) {
+              fixed[perm[i]] = from_negabinary(coeffs[i]);
+            }
+            inverse_transform(fixed.data(), rank);
+            from_fixed(fixed.data(), block.data(), bsize, emax);
           }
-          inverse_transform(fixed.data(), rank);
-          for (std::size_t i = 0; i < bsize; ++i) {
-            block[i] = from_fixed(fixed[i], emax);
+          // Fixed rate: skip the padding up to the block budget.
+          if (fixed_rate) {
+            reader.skip_bits(static_cast<unsigned>(block_budget - used));
           }
+          scatter_block(out, bi, bx, by, bz, block.data());
         }
-        // Fixed rate: skip the padding up to the block budget.
-        while (fixed_rate && used < block_budget) {
-          const auto chunk = static_cast<unsigned>(
-              std::min<std::size_t>(64, block_budget - used));
-          reader.get_bits(chunk);
-          used += chunk;
-        }
-        scatter_block(out, bi, bx, by, bz, block.data());
       }
     }
+  } catch (const std::out_of_range&) {
+    throw error(CodecErrc::kTruncated,
+                "stream ends inside block data at bit " +
+                    std::to_string(reader.bit_position()));
   }
   return out;
 }

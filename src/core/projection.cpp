@@ -78,25 +78,21 @@ sim::Field OneBasePreconditioner::decode(const io::Container& container,
   const obs::ScopedSpan span("one-base");
   const auto& reduced = require_section(container, "reduced", "one-base");
   const auto plane_values = codecs.reduced->decompress(reduced.bytes);
-  const sim::Field delta = decode_delta(container, codecs, "one-base");
+  sim::Field out = decode_delta(container, codecs, "one-base");
   if (plane_values.size() != container.nx * container.ny) {
     throw io::ContainerError(io::ContainerErrc::kSectionMalformed,
                              "one-base decode: reduced plane size mismatch",
                              "reduced");
   }
-  const auto delta_values = delta.flat();
 
-  sim::Field out(container.nx, container.ny, container.nz);
+  // Add the broadcast mid-plane into the decoded delta in place.
   for_x_ranges(
-      container.nx, container.nx * container.ny * container.nz,
-      [&](std::size_t begin, std::size_t end) {
+      container.nx, out.size(), [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           for (std::size_t j = 0; j < container.ny; ++j) {
             const double base = plane_values[i * container.ny + j];
             for (std::size_t k = 0; k < container.nz; ++k) {
-              out.at(i, j, k) =
-                  base +
-                  delta_values[(i * container.ny + j) * container.nz + k];
+              out.at(i, j, k) += base;
             }
           }
         }
@@ -178,27 +174,23 @@ sim::Field MultiBasePreconditioner::decode(const io::Container& container,
   const auto slabs = even_split(container.nz, count);
 
   const auto plane_values = codecs.reduced->decompress(reduced.bytes);
-  const sim::Field delta = decode_delta(container, codecs, "multi-base");
-  const auto delta_values = delta.flat();
+  sim::Field out = decode_delta(container, codecs, "multi-base");
   if (plane_values.size() != container.nx * container.ny * count) {
     throw io::ContainerError(io::ContainerErrc::kSectionMalformed,
                              "multi-base decode: reduced size mismatch",
                              "reduced");
   }
 
-  sim::Field out(container.nx, container.ny, container.nz);
+  // Add each slab's mid-plane into the decoded delta in place.
   for_x_ranges(
-      container.nx, container.nx * container.ny * container.nz,
-      [&](std::size_t begin, std::size_t end) {
+      container.nx, out.size(), [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           for (std::size_t s = 0; s < count; ++s) {
             for (std::size_t j = 0; j < container.ny; ++j) {
               const double base =
                   plane_values[(i * container.ny + j) * count + s];
               for (std::size_t k = slabs[s].begin; k < slabs[s].end; ++k) {
-                out.at(i, j, k) =
-                    base +
-                    delta_values[(i * container.ny + j) * container.nz + k];
+                out.at(i, j, k) += base;
               }
             }
           }
