@@ -44,11 +44,11 @@ io::Container PartitionedPcaPreconditioner::encode(const sim::Field& field,
   std::vector<io::Section> sections(3 * count);
   parallel::parallel_for(count, [&](std::size_t b) {
     const auto [begin, end] = blocks[b];
-    const la::Matrix block(
-        end - begin, cols,
-        std::vector<double>(a.flat().begin() + begin * cols,
-                            a.flat().begin() + end * cols));
-    const PcaFit fit = pca_fit(block, options_.variance_target);
+    const PcaFit fit = pca_fit(
+        la::Matrix(end - begin, cols,
+                   std::vector<double>(a.flat().begin() + begin * cols,
+                                       a.flat().begin() + end * cols)),
+        options_.variance_target);
     const la::Matrix block_recon =
         pca_reconstruct(fit.scores, fit.basis, fit.means);
     std::copy(block_recon.flat().begin(), block_recon.flat().end(),

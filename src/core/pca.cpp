@@ -56,14 +56,13 @@ std::vector<double> pca_variance_proportions(const sim::Field& field) {
   return spectrum_proportions(eig.values, /*first_carries_degenerate=*/true);
 }
 
-PcaFit pca_fit(const la::Matrix& a, double variance_target,
+PcaFit pca_fit(la::Matrix a, double variance_target,
                const la::JacobiOptions& jacobi) {
   PcaFit fit;
   fit.means = la::column_means(a);
-  la::Matrix centered = a;
-  la::center_columns(centered, fit.means);
+  la::center_columns(a, fit.means);
 
-  const auto eig = la::jacobi_eigen(la::covariance(a), jacobi);
+  const auto eig = la::jacobi_eigen(la::centered_covariance(a), jacobi);
   fit.converged = eig.converged;
   fit.off_diagonal_residual = eig.off_diagonal_residual;
   // k components covering the variance target; a spectrum summing to
@@ -72,7 +71,7 @@ PcaFit pca_fit(const la::Matrix& a, double variance_target,
       1, components_for_target(spectrum_proportions(eig.values, false),
                                variance_target));
   fit.basis = leading_columns(eig.vectors, k);  // n x k
-  fit.scores = centered * fit.basis;            // m x k
+  fit.scores = a * fit.basis;                   // m x k, from the centred a
   return fit;
 }
 

@@ -54,7 +54,8 @@ class PcaPreconditioner final : public Preconditioner {
 /// n x k leading eigenvectors of the centred covariance covering
 /// `variance_target` of the variance (k >= 1), and the m x k scores.
 /// `converged`/`off_diagonal_residual` report the Jacobi solve; callers
-/// decide whether a non-converged basis is acceptable.
+/// decide whether a non-converged basis is acceptable.  `a` is taken by
+/// value and centred in place: pass a temporary or std::move it.
 struct PcaFit {
   std::vector<double> means;
   la::Matrix basis;
@@ -62,7 +63,7 @@ struct PcaFit {
   bool converged = false;
   double off_diagonal_residual = 0.0;
 };
-PcaFit pca_fit(const la::Matrix& a, double variance_target,
+PcaFit pca_fit(la::Matrix a, double variance_target,
                const la::JacobiOptions& jacobi = {});
 
 /// The PCA reconstruction: scores * basis^T + means (per column).

@@ -17,8 +17,12 @@ void center_columns(Matrix& a, const std::vector<double>& means);
 /// Add `means[j]` back onto every entry of column j, in place.
 void uncenter_columns(Matrix& a, const std::vector<double>& means);
 
-/// Sample covariance C = X_c^T X_c / (m - 1) of the (centered internally)
-/// columns of `a`.  For m == 1 the divisor falls back to 1.
-Matrix covariance(const Matrix& a);
+/// Sample covariance C = X^T X / (m - 1) of an m x n matrix whose columns
+/// are already centred.  For m == 1 the divisor falls back to 1.
+Matrix centered_covariance(const Matrix& centered);
+
+/// Sample covariance of the columns of `a`: centre them, then
+/// centered_covariance.
+Matrix covariance(Matrix a);
 
 }  // namespace rmp::la
