@@ -4,12 +4,15 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "compress/codec_error.hpp"
 #include "obs/obs.hpp"
 
 namespace rmp::compress {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x31435046;  // "FPC1"
+constexpr unsigned kMinTableBits = 4;
+constexpr unsigned kMaxTableBits = 26;
 
 struct Header {
   std::uint32_t magic;
@@ -65,7 +68,8 @@ class PredictorPair {
 }  // namespace
 
 FpcCompressor::FpcCompressor(FpcOptions options) : options_(options) {
-  if (options_.table_bits < 4 || options_.table_bits > 26) {
+  if (options_.table_bits < kMinTableBits ||
+      options_.table_bits > kMaxTableBits) {
     throw std::invalid_argument("FpcCompressor: table_bits out of range");
   }
 }
@@ -136,24 +140,44 @@ std::vector<std::uint8_t> FpcCompressor::compress(std::span<const double> data,
 std::vector<double> FpcCompressor::decompress(
     std::span<const std::uint8_t> stream) const {
   const obs::ScopedSpan span("codec/fpc");
-  if (stream.size() < sizeof(Header) + sizeof(std::uint64_t)) {
-    throw std::runtime_error("FPC decode: truncated stream");
+  std::uint64_t code_bytes = 0;
+  constexpr std::size_t code_offset = sizeof(Header) + sizeof(code_bytes);
+  if (stream.size() < code_offset) {
+    throw CodecError(CodecErrc::kTruncated, "FPC decode: truncated header");
   }
   Header header;
   std::memcpy(&header, stream.data(), sizeof(header));
-  if (header.magic != kMagic) {
-    throw std::runtime_error("FPC decode: bad magic");
-  }
-  const Dims dims{header.nx, header.ny, header.nz};
-  const std::size_t count = dims.count();
-
-  std::uint64_t code_bytes = 0;
   std::memcpy(&code_bytes, stream.data() + sizeof(header), sizeof(code_bytes));
-  std::size_t code_offset = sizeof(header) + sizeof(code_bytes);
-  std::size_t residual_offset = code_offset + code_bytes;
-  if (residual_offset > stream.size()) {
-    throw std::runtime_error("FPC decode: truncated code section");
+  if (header.magic != kMagic) {
+    throw CodecError(CodecErrc::kMalformedStream, "FPC decode: bad magic");
   }
+  // Same range as the constructor: the tables hold 2^table_bits entries.
+  if (header.table_bits < kMinTableBits || header.table_bits > kMaxTableBits) {
+    throw CodecError(CodecErrc::kMalformedStream,
+                     "FPC decode: table_bits out of range");
+  }
+  std::size_t count = 0;
+  if (__builtin_mul_overflow(header.nx, header.ny, &count) ||
+      __builtin_mul_overflow(count, header.nz, &count)) {
+    throw CodecError(CodecErrc::kCountOverflow,
+                     "FPC decode: nx*ny*nz overflows");
+  }
+  // Every value costs 4 code bits, so the stream caps the count before
+  // anything count-sized is allocated.
+  const std::size_t payload = stream.size() - code_offset;
+  if (count > 2 * payload) {
+    throw CodecError(CodecErrc::kCountOverflow,
+                     "FPC decode: value count exceeds the stream");
+  }
+  if (code_bytes > payload) {
+    throw CodecError(CodecErrc::kTruncated,
+                     "FPC decode: truncated code section");
+  }
+  if (code_bytes != (count + 1) / 2) {
+    throw CodecError(CodecErrc::kMalformedStream,
+                     "FPC decode: code section does not match the value count");
+  }
+  std::size_t residual_offset = code_offset + code_bytes;
 
   PredictorPair predictors(header.table_bits);
   std::vector<double> out;
@@ -167,8 +191,9 @@ std::vector<double> FpcCompressor::decompress(
 
     std::uint64_t residual = 0;
     const unsigned nbytes = 8 - lzb;
-    if (residual_offset + nbytes > stream.size()) {
-      throw std::runtime_error("FPC decode: truncated residuals");
+    if (nbytes > stream.size() - residual_offset) {
+      throw CodecError(CodecErrc::kTruncated,
+                       "FPC decode: truncated residuals");
     }
     for (unsigned b = 0; b < nbytes; ++b) {
       residual = (residual << 8) | stream[residual_offset++];
