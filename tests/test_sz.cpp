@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <random>
 
 namespace rmp::compress {
@@ -129,6 +130,27 @@ TEST(Sz, HandlesNanInfAsZeroClassExceptions) {
   EXPECT_TRUE(std::isnan(decoded[1]));
   EXPECT_TRUE(std::isinf(decoded[3]));
   EXPECT_NEAR(decoded[4], -3.0, 3e-4);
+}
+
+// Residuals of exactly k + 1/2 steps round half away from zero, as
+// std::round does.  With an absolute bound of 0.5 (step 1) a {1, 1, n}
+// field predicts each value from the decoded one before it, and every
+// value below sits 2.5, -2.5, 0.5, ... steps from that prediction.
+TEST(Sz, TiesRoundHalfAwayFromZero) {
+  const double offsets[] = {2.5, -2.5, 0.5, -0.5, 1.5, -1.5, 3.25};
+  const std::size_t n = 64;
+  std::vector<double> data(n), expected(n);
+  double pred = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    data[k] = pred + offsets[k % std::size(offsets)];
+    expected[k] = pred + std::round(data[k] - pred);
+    pred = expected[k];
+  }
+  SzOptions opt;
+  opt.mode = SzMode::kAbsolute;
+  opt.bound = 0.5;
+  const SzCompressor sz(opt);
+  EXPECT_EQ(sz.decompress(sz.compress(data, Dims::d3(1, 1, n))), expected);
 }
 
 TEST(Sz, RejectsBadConstruction) {
