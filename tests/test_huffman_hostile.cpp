@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <random>
 #include <vector>
@@ -62,6 +63,15 @@ std::vector<std::uint32_t> symbol_stream(int which) {
     case 5:  // two-symbol alternation
       for (int i = 0; i < 333; ++i) s.push_back(i % 5 == 0 ? 9u : 4u);
       break;
+    case 6: {  // 2^20 SZ-like codes: two-sided geometric around 32768
+      std::mt19937 rng(2024);
+      for (int i = 0; i < (1 << 20); ++i) {
+        const int m = 2 * std::countr_zero(rng() | 0x8000u) +
+                      static_cast<int>(rng() & 1u);
+        s.push_back(static_cast<std::uint32_t>(32768 + (rng() & 1u ? m : -m)));
+      }
+      break;
+    }
   }
   return s;
 }
@@ -303,13 +313,16 @@ TEST(HuffmanGolden, EncoderBytesArePinned) {
   const struct {
     std::size_t size;
     std::uint32_t crc;
-  } golden[6] = {{8399u, 0xFE26B72Fu},  {30533u, 0x840962C4u},
+  } golden[7] = {{8399u, 0xFE26B72Fu},  {30533u, 0x840962C4u},
                  {28u, 0x4567C535u},    {127232u, 0xCB1B264Cu},
-                 {30u, 0xCD7AC4D1u},    {64u, 0x6EC249B5u}};
-  for (int w = 0; w < 6; ++w) {
-    const auto bytes = huffman_encode(symbol_stream(w));
+                 {30u, 0xCD7AC4D1u},    {64u, 0x6EC249B5u},
+                 {491973u, 0x72FF5D6Fu}};
+  for (int w = 0; w < 7; ++w) {
+    const auto symbols = symbol_stream(w);
+    const auto bytes = huffman_encode(symbols);
     EXPECT_EQ(bytes.size(), golden[w].size) << "stream " << w;
     EXPECT_EQ(io::crc32(bytes), golden[w].crc) << "stream " << w;
+    EXPECT_EQ(huffman_decode(bytes), symbols) << "stream " << w;
   }
   const auto empty = huffman_encode({});
   EXPECT_EQ(empty.size(), 8u);
