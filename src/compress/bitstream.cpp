@@ -28,44 +28,29 @@ inline std::uint64_t mask_low(std::uint64_t value, unsigned count) {
   return count >= 64 ? value : value & ((std::uint64_t{1} << count) - 1);
 }
 
-}  // namespace
-
-void BitWriter::put_bit(bool bit) { put_bits(bit ? 1u : 0u, 1); }
-
-void BitWriter::put_bits(std::uint64_t value, unsigned count) {
-  if (count > 64) throw std::invalid_argument("put_bits: count > 64");
-  if (count == 0) return;
-  if (count < 64) value &= (std::uint64_t{1} << count) - 1;
-  accum_ |= value << accum_bits_;
-  // How many low bits of accum_ are now valid.  If the shift overflowed 64
-  // bits we spill full bytes first and then re-insert the remainder.
-  unsigned total = accum_bits_ + count;
-  if (total < 64) {
-    accum_bits_ = total;
-  } else {
-    // Spill the 64 accumulated bits as 8 bytes.
-    for (int i = 0; i < 8; ++i) {
-      bytes_.push_back(static_cast<std::uint8_t>(accum_ >> (8 * i)));
-    }
-    const unsigned spilled = 64 - accum_bits_;
-    accum_ = (spilled < 64) ? value >> spilled : 0;
-    accum_bits_ = total - 64;
+// Store `bytes` low bytes of `word` LSB-first (one 8-byte store when the
+// compiler recognises the pattern on little-endian hosts).
+void append_le(std::vector<std::uint8_t>& out, std::uint64_t word,
+               unsigned bytes) {
+  std::uint8_t le[8];
+  for (unsigned i = 0; i < 8; ++i) {
+    le[i] = static_cast<std::uint8_t>(word >> (8 * i));
   }
-  bit_count_ += count;
-  // Opportunistically spill whole bytes to keep the accumulator small.
-  while (accum_bits_ >= 8) {
-    bytes_.push_back(static_cast<std::uint8_t>(accum_));
-    accum_ >>= 8;
-    accum_bits_ -= 8;
-  }
+  out.insert(out.end(), le, le + bytes);
 }
 
+}  // namespace
+
+void BitWriter::throw_oversized_width() {
+  throw std::invalid_argument("put_bits: count > 64");
+}
+
+void BitWriter::append_word(std::uint64_t word) { append_le(bytes_, word, 8); }
+
 std::vector<std::uint8_t> BitWriter::take() {
-  if (accum_bits_ > 0) {
-    bytes_.push_back(static_cast<std::uint8_t>(accum_));
-    accum_ = 0;
-    accum_bits_ = 0;
-  }
+  append_le(bytes_, accum_, (accum_bits_ + 7) / 8);
+  accum_ = 0;
+  accum_bits_ = 0;
   return std::move(bytes_);
 }
 

@@ -12,22 +12,41 @@ namespace rmp::compress {
 
 class BitWriter {
  public:
-  void put_bit(bool bit);
+  void put_bit(bool bit) { put_bits(bit ? 1u : 0u, 1); }
 
   /// Write the low `count` bits of `value`, LSB first.  count <= 64.
-  void put_bits(std::uint64_t value, unsigned count);
+  /// Bits gather in a 64-bit accumulator that is stored as one word each
+  /// time it fills (DESIGN.md §13c).
+  void put_bits(std::uint64_t value, unsigned count) {
+    if (count > 64) throw_oversized_width();
+    if (count < 64) value &= (std::uint64_t{1} << count) - 1;
+    const unsigned used = accum_bits_;
+    accum_ |= value << used;
+    accum_bits_ = used + count;
+    if (accum_bits_ >= 64) {
+      append_word(accum_);
+      // The bits of `value` that did not fit: value >> (64 - used),
+      // written as two shifts so used == 0 (count == 64) gives 0.
+      accum_ = (value >> 1) >> (63 - used);
+      accum_bits_ -= 64;
+    }
+  }
 
   /// Number of bits written so far.
-  std::size_t bit_count() const noexcept { return bit_count_; }
+  std::size_t bit_count() const noexcept {
+    return bytes_.size() * 8 + accum_bits_;
+  }
 
   /// Flush and take the byte buffer (final partial byte zero-padded).
   std::vector<std::uint8_t> take();
 
  private:
+  [[noreturn]] static void throw_oversized_width();
+  void append_word(std::uint64_t word);
+
   std::vector<std::uint8_t> bytes_;
-  std::uint64_t accum_ = 0;
-  unsigned accum_bits_ = 0;
-  std::size_t bit_count_ = 0;
+  std::uint64_t accum_ = 0;   // pending bits, LSB first
+  unsigned accum_bits_ = 0;   // < 64 between calls
 };
 
 class BitReader {

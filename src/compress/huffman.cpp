@@ -155,72 +155,60 @@ std::uint64_t reverse_code(std::uint64_t code, unsigned length) {
 
 HuffmanEncoder::HuffmanEncoder(std::span<const std::uint32_t> symbols) {
   const auto lengths = code_lengths(count_frequencies(symbols));
+  if (lengths.empty()) return;
 
   entries_.reserve(lengths.size());
+  std::uint32_t lo = lengths.front().first, hi = lo;
   for (const auto& [symbol, length] : lengths) {
-    entries_.push_back({symbol, length, 0, 0});
+    entries_.push_back({symbol, length});
+    lo = std::min(lo, symbol);
+    hi = std::max(hi, symbol);
   }
   std::sort(entries_.begin(), entries_.end(), [](const Entry& a, const Entry& b) {
     return a.length != b.length ? a.length < b.length : a.symbol < b.symbol;
   });
 
-  // Assign canonical codes.  The pre-reversed copy lets write_symbol emit
-  // the whole MSB-first code as one LSB-first put_bits batch.
+  // Dense lookup over the symbol range when compact, otherwise a sorted
+  // index.  The 64 KiB floor keeps every 16-bit-quantizer alphabet on the
+  // O(1) dense path; beyond it the table must still be within a small
+  // factor of the alphabet so {0, 0xffffffff} stays sparse.
+  const std::uint64_t range = std::uint64_t{hi} - lo + 1;
+  const bool dense = range <= 4 * entries_.size() + 65536;
+  if (dense) {
+    lookup_base_ = lo;
+    lookup_.assign(static_cast<std::size_t>(range), 0);
+  } else {
+    sparse_lookup_.reserve(entries_.size());
+  }
+
+  // Assign canonical codes in table order and store each bit-reversed,
+  // packed with its length.
   std::uint64_t code = 0;
-  std::uint8_t previous_length = entries_.empty() ? 0 : entries_.front().length;
-  for (Entry& e : entries_) {
+  std::uint8_t previous_length = entries_.front().length;
+  for (const Entry& e : entries_) {
     code <<= (e.length - previous_length);
-    e.code = code++;
-    e.reversed = reverse_code(e.code, e.length);
     previous_length = e.length;
+    const std::uint64_t packed =
+        (reverse_code(code++, e.length) << kLengthBits) | e.length;
+    if (dense) {
+      lookup_[e.symbol - lookup_base_] = packed;
+    } else {
+      sparse_lookup_.emplace_back(e.symbol, packed);
+    }
     max_length_ = std::max<unsigned>(max_length_, e.length);
   }
-
-  // Dense lookup over the symbol range when compact, otherwise a sorted
-  // index (a sparse alphabet like {0, 0xffffffff} must not allocate a
-  // range-sized table).
-  if (!entries_.empty()) {
-    std::uint32_t lo = entries_.front().symbol, hi = lo;
-    for (const Entry& e : entries_) {
-      lo = std::min(lo, e.symbol);
-      hi = std::max(hi, e.symbol);
-    }
-    const std::uint64_t range = std::uint64_t{hi} - lo + 1;
-    // The 64 KiB floor keeps every 16-bit-quantizer alphabet on the O(1)
-    // dense path; beyond it the table must still be within a small factor
-    // of the alphabet so {0, 0xffffffff} stays sparse.
-    if (range <= 4 * entries_.size() + 65536) {
-      lookup_base_ = lo;
-      lookup_.assign(static_cast<std::size_t>(range), -1);
-      for (std::size_t i = 0; i < entries_.size(); ++i) {
-        lookup_[entries_[i].symbol - lookup_base_] =
-            static_cast<std::int32_t>(i);
-      }
-    } else {
-      sparse_lookup_.reserve(entries_.size());
-      for (std::size_t i = 0; i < entries_.size(); ++i) {
-        sparse_lookup_.emplace_back(entries_[i].symbol,
-                                    static_cast<std::int32_t>(i));
-      }
-      std::sort(sparse_lookup_.begin(), sparse_lookup_.end());
-    }
-  }
+  std::sort(sparse_lookup_.begin(), sparse_lookup_.end());
 }
 
-const HuffmanEncoder::Entry* HuffmanEncoder::find(std::uint32_t symbol) const {
-  if (!lookup_.empty()) {
-    if (symbol < lookup_base_ || symbol - lookup_base_ >= lookup_.size()) {
-      return nullptr;
-    }
-    const std::int32_t index = lookup_[symbol - lookup_base_];
-    return index < 0 ? nullptr : &entries_[index];
-  }
+std::uint64_t HuffmanEncoder::sparse_code(std::uint32_t symbol) const {
   const auto it = std::lower_bound(
-      sparse_lookup_.begin(), sparse_lookup_.end(),
-      std::make_pair(symbol, std::int32_t{0}),
-      [](const auto& a, const auto& b) { return a.first < b.first; });
-  if (it == sparse_lookup_.end() || it->first != symbol) return nullptr;
-  return &entries_[it->second];
+      sparse_lookup_.begin(), sparse_lookup_.end(), symbol,
+      [](const auto& entry, std::uint32_t s) { return entry.first < s; });
+  return it == sparse_lookup_.end() || it->first != symbol ? 0 : it->second;
+}
+
+void HuffmanEncoder::throw_unknown_symbol() {
+  throw std::out_of_range("HuffmanEncoder: symbol not in code table");
 }
 
 void HuffmanEncoder::write_table(BitWriter& writer) const {
@@ -229,17 +217,6 @@ void HuffmanEncoder::write_table(BitWriter& writer) const {
     writer.put_bits(e.symbol, 32);
     writer.put_bits(e.length, 6);
   }
-}
-
-void HuffmanEncoder::write_symbol(BitWriter& writer, std::uint32_t symbol) const {
-  const Entry* e = find(symbol);
-  if (e == nullptr) {
-    throw std::out_of_range("HuffmanEncoder: symbol not in code table");
-  }
-  // Codes are canonical MSB-first; the stored bit-reversed copy emitted
-  // LSB-first reproduces exactly the bits the historical per-bit loop
-  // wrote, in one batched call.
-  writer.put_bits(e->reversed, e->length);
 }
 
 HuffmanDecoder::HuffmanDecoder(BitReader& reader) {

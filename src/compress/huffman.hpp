@@ -9,8 +9,9 @@
 // alphabets cost little header space.
 //
 // Hot-path design (DESIGN.md §13):
-//  * encode: codes are pre-reversed at table build so each symbol is one
-//    batched BitWriter::put_bits call, not a per-bit loop;
+//  * encode: codes are pre-reversed at table build and packed with their
+//    length into the dense symbol lookup, so each symbol is one load and
+//    one inline BitWriter::put_bits call;
 //  * decode: a rapidgzip-style multi-symbol fast table resolves up to two
 //    complete codes per kFastBits-wide peek; longer codes fall back to the
 //    canonical bit-by-bit walk;
@@ -21,6 +22,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "compress/bitstream.hpp"
@@ -37,30 +39,43 @@ class HuffmanEncoder {
 
   /// Append the code for one symbol.  The symbol must have appeared in the
   /// constructor sample; otherwise std::out_of_range is thrown.
-  void write_symbol(BitWriter& writer, std::uint32_t symbol) const;
+  void write_symbol(BitWriter& writer, std::uint32_t symbol) const {
+    const std::uint32_t offset = symbol - lookup_base_;
+    const std::uint64_t packed =
+        offset < lookup_.size() ? lookup_[offset] : sparse_code(symbol);
+    if (packed == 0) throw_unknown_symbol();
+    writer.put_bits(packed >> kLengthBits,
+                    static_cast<unsigned>(packed & kLengthMask));
+  }
 
   /// Longest code length in bits (useful for tests/diagnostics).
   unsigned max_code_length() const noexcept { return max_length_; }
   std::size_t distinct_symbols() const noexcept { return entries_.size(); }
 
  private:
+  // A code as the encoder emits it: (bit-reversed canonical code <<
+  // kLengthBits) | length.  Lengths are 1..58, so the pair fills at most
+  // 64 bits and 0 marks a symbol that is not in the table.  Emitting the
+  // reversed code LSB-first reproduces the canonical MSB-first bits.
+  static constexpr unsigned kLengthBits = 6;
+  static constexpr std::uint64_t kLengthMask = (1u << kLengthBits) - 1;
+
   struct Entry {
     std::uint32_t symbol;
     std::uint8_t length;
-    std::uint64_t code;      // canonical, MSB-first
-    std::uint64_t reversed;  // same code bit-reversed: emitting it LSB-first
-                             // via put_bits reproduces the MSB-first stream
   };
-  std::vector<Entry> entries_;          // sorted by (length, symbol)
-  // Dense lookup when the symbol range is compact; otherwise a sorted
-  // (symbol -> entry) index searched by lower_bound (sparse alphabets
-  // like {0, 0xffffffff} must not allocate range-sized tables).
-  std::vector<std::int32_t> lookup_;
+  std::vector<Entry> entries_;  // sorted by (length, symbol): table order
+  // Packed code of symbol lookup_base_ + i when the symbol range is
+  // compact; otherwise a sorted (symbol, packed code) index searched by
+  // lower_bound (sparse alphabets like {0, 0xffffffff} must not allocate
+  // range-sized tables).
+  std::vector<std::uint64_t> lookup_;
   std::uint32_t lookup_base_ = 0;
-  std::vector<std::pair<std::uint32_t, std::int32_t>> sparse_lookup_;
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> sparse_lookup_;
   unsigned max_length_ = 0;
 
-  const Entry* find(std::uint32_t symbol) const;
+  std::uint64_t sparse_code(std::uint32_t symbol) const;  // 0 when absent
+  [[noreturn]] static void throw_unknown_symbol();
 };
 
 class HuffmanDecoder {
