@@ -32,12 +32,12 @@ io::Container PartitionedPcaPreconditioner::encode(const sim::Field& field,
   const std::size_t count = std::min(options_.partitions, a.rows());
   const auto blocks = even_split(a.rows(), count);
 
-  la::Matrix reconstruction(a.rows(), cols);
+  std::vector<double> delta(field.size());
   std::vector<std::uint64_t> meta(1 + 2 * count);
   meta[0] = count;
 
   // Each block runs its whole PCA fit independently and writes a disjoint
-  // row range of `reconstruction`; the serialized sections are collected
+  // row range of `delta`; the serialized sections are collected
   // per block and appended in block order afterwards so the container is
   // identical at every thread count.  A block whose Jacobi solve does not
   // converge still encodes: the delta absorbs whatever its basis misses.
@@ -49,10 +49,11 @@ io::Container PartitionedPcaPreconditioner::encode(const sim::Field& field,
                    std::vector<double>(a.flat().begin() + begin * cols,
                                        a.flat().begin() + end * cols)),
         options_.variance_target);
-    const la::Matrix block_recon =
-        pca_reconstruct(fit.scores, fit.basis, fit.means);
-    std::copy(block_recon.flat().begin(), block_recon.flat().end(),
-              reconstruction.flat().begin() + begin * cols);
+    const std::size_t cells = (end - begin) * cols;
+    combine_pca_reconstruction(
+        a.flat().subspan(begin * cols, cells),
+        std::span<double>(delta).subspan(begin * cols, cells), fit.scores,
+        fit.basis, fit.means, Combine::kSubtract);
 
     const std::string suffix = std::to_string(b);
     sections[3 * b] = {"scores" + suffix,
@@ -66,9 +67,8 @@ io::Container PartitionedPcaPreconditioner::encode(const sim::Field& field,
     meta[2 + 2 * b] = fit.scores.rows();
   });
 
-  delta_in_place(field, reconstruction.flat());
-  return reduced_model_container(name(), field, std::move(sections),
-                                 reconstruction.flat(), meta, codecs, stats);
+  return reduced_model_container(name(), field, std::move(sections), delta,
+                                 meta, codecs, stats);
 }
 
 sim::Field PartitionedPcaPreconditioner::decode(
@@ -111,7 +111,6 @@ sim::Field PartitionedPcaPreconditioner::decode(
     row_offset[b] = row_offset[b - 1] + meta[2 + 2 * (b - 1)];
   }
 
-  la::Matrix reconstruction(total_rows, cols);
   parallel::parallel_for(count, [&](std::size_t b) {
     const std::size_t k = meta[1 + 2 * b];
     const std::size_t rows = meta[2 + 2 * b];
@@ -122,18 +121,17 @@ sim::Field PartitionedPcaPreconditioner::decode(
         require_section(container, "basis" + suffix, "pca-part");
     const auto& means_section =
         require_section(container, "means" + suffix, "pca-part");
-    la::Matrix scores(rows, k,
-                      codecs.reduced->decompress(scores_section.bytes));
+    const la::Matrix scores(rows, k,
+                            codecs.reduced->decompress(scores_section.bytes));
     const la::Matrix basis = bytes_to_matrix(basis_section.bytes);
     if (basis.rows() != cols) {
       throw malformed("basis width mismatch", "basis" + suffix);
     }
-    const la::Matrix block_recon = pca_reconstruct(
-        scores, basis, bytes_to_doubles(means_section.bytes));
-    std::copy(block_recon.flat().begin(), block_recon.flat().end(),
-              reconstruction.flat().begin() + row_offset[b] * cols);
+    const auto block = out.flat().subspan(row_offset[b] * cols, rows * cols);
+    combine_pca_reconstruction(block, block, scores, basis,
+                               bytes_to_doubles(means_section.bytes),
+                               Combine::kAdd);
   });
-  add_reconstruction(out, reconstruction.flat(), "pca-part");
   return out;
 }
 

@@ -66,9 +66,22 @@ struct PcaFit {
 PcaFit pca_fit(la::Matrix a, double variance_target,
                const la::JacobiOptions& jacobi = {});
 
-/// The PCA reconstruction: scores * basis^T + means (per column).
-la::Matrix pca_reconstruct(const la::Matrix& scores, const la::Matrix& basis,
-                           const std::vector<double>& means);
+/// How combine_pca_reconstruction joins `from` and the reconstruction.
+enum class Combine { kSubtract, kAdd };
+
+/// The PCA reconstruction scores * basis^T + means (per column) of an
+/// m x n matrix, joined row by row with `from`, that matrix's row-major
+/// values: `to` = from - reconstruction (kSubtract: the encoder's delta)
+/// or from + reconstruction (kAdd: the decoder's output).  `to` may be
+/// `from`.  Each element sees the product's operations, then its column
+/// mean, in the order forming the whole reconstruction first would use,
+/// so the results are the same bits; only one row of the reconstruction
+/// exists at a time (DESIGN.md §13c).  Shapes that disagree raise
+/// std::invalid_argument.
+void combine_pca_reconstruction(std::span<const double> from,
+                                std::span<double> to, const la::Matrix& scores,
+                                const la::Matrix& basis,
+                                std::span<const double> means, Combine how);
 
 /// Proportion of total variance captured by each principal component of
 /// the field's canonical matrix, descending (Fig. 7).

@@ -156,17 +156,22 @@ sim::Field decode_delta(const io::Container& container,
                                std::move(values));
 }
 
-void add_reconstruction(sim::Field& out,
-                        std::span<const double> reconstruction,
-                        const char* decoder) {
-  const auto values = out.flat();
-  if (reconstruction.size() != values.size()) {
+void check_reconstruction_cells(const sim::Field& out, std::size_t cells,
+                                const char* decoder) {
+  if (cells != out.size()) {
     throw io::ContainerError(
         io::ContainerErrc::kSectionMalformed,
         std::string(decoder) + " decode: reduced model rebuilds " +
-            std::to_string(reconstruction.size()) + " cells, the header " +
-            std::to_string(values.size()));
+            std::to_string(cells) + " cells, the header " +
+            std::to_string(out.size()));
   }
+}
+
+void add_reconstruction(sim::Field& out,
+                        std::span<const double> reconstruction,
+                        const char* decoder) {
+  check_reconstruction_cells(out, reconstruction.size(), decoder);
+  const auto values = out.flat();
   for (std::size_t n = 0; n < values.size(); ++n) {
     values[n] += reconstruction[n];
   }

@@ -111,6 +111,12 @@ void add_reconstruction(sim::Field& out,
                         std::span<const double> reconstruction,
                         const char* decoder);
 
+/// The check add_reconstruction makes, for decoders that rebuild in
+/// place: a reduced model of `cells` cells that is not `out`'s size raises
+/// io::ContainerError(kSectionMalformed).
+void check_reconstruction_cells(const sim::Field& out, std::size_t cells,
+                                const char* decoder);
+
 /// Fetch a required section or throw io::ContainerError(kMissingSection)
 /// naming both the decoder and the absent section (helper for decoders).
 const io::Section& require_section(const io::Container& container,

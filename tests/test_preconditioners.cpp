@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/identity.hpp"
 #include "core/partitioned.hpp"
@@ -222,6 +224,56 @@ TEST(Pca, LowRankDataNeedsFewComponents) {
   }
   const auto proportions = pca_variance_proportions(f);
   EXPECT_LE(components_for_target(proportions, 0.95), 2u);
+}
+
+TEST(Pca, RowWiseReconstructionMatchesTheMatrixProductBitForBit) {
+  // combine_pca_reconstruction must give the bits of forming
+  // scores * basis^T + means first and then subtracting or adding it,
+  // zero scores (skipped by the product) and -0.0 values included.
+  const std::size_t m = 401, n = 11, k = 3;  // enough cells to run parallel
+  la::Matrix scores(m, k), basis(n, k);
+  std::vector<double> means(n), values(m * n);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t c = 0; c < k; ++c) {
+      scores(i, c) = (i + c) % 5 == 0 ? 0.0 : std::sin(1.3 * i + 0.7 * c);
+    }
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t c = 0; c < k; ++c) basis(j, c) = std::cos(0.9 * j - c);
+    means[j] = j % 3 == 0 ? 0.0 : 0.25 * static_cast<double>(j);
+  }
+  for (std::size_t e = 0; e < values.size(); ++e) {
+    values[e] = e % 7 == 0 ? -0.0 : std::tan(0.01 * static_cast<double>(e));
+  }
+  la::Matrix reconstruction = scores * basis.transposed();
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) reconstruction(i, j) += means[j];
+  }
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+
+  std::vector<double> delta(values.size());
+  combine_pca_reconstruction(values, delta, scores, basis, means,
+                             Combine::kSubtract);
+  std::vector<double> sum = values;
+  combine_pca_reconstruction(sum, sum, scores, basis, means, Combine::kAdd);
+  for (std::size_t e = 0; e < values.size(); ++e) {
+    ASSERT_EQ(bits(delta[e]), bits(values[e] - reconstruction.flat()[e])) << e;
+    ASSERT_EQ(bits(sum[e]), bits(values[e] + reconstruction.flat()[e])) << e;
+  }
+
+  EXPECT_THROW(combine_pca_reconstruction(values, delta, scores,
+                                          la::Matrix(n, k + 1), means,
+                                          Combine::kAdd),
+               std::invalid_argument);
+  EXPECT_THROW(combine_pca_reconstruction(values, delta, scores, basis,
+                                          std::vector<double>(n + 1),
+                                          Combine::kAdd),
+               std::invalid_argument);
+  EXPECT_THROW(combine_pca_reconstruction(
+                   std::span<const double>(values).first(m * n - 1),
+                   std::span<double>(delta).first(m * n - 1), scores, basis,
+                   means, Combine::kAdd),
+               std::invalid_argument);
 }
 
 TEST(Svd, SingularProportionsSumToOne) {
