@@ -1,8 +1,9 @@
 // libFuzzer target: throw arbitrary bytes at the container salvage parser
-// and the guarded decode path.  The contract under test: no crash, no
-// sanitizer report, and every rejection is a typed std::exception -- the
-// same promise the guard layer makes to real callers handed a truncated
-// or bit-flipped archive.
+// and the guarded decode path, under the SZ and the ZFP codec pair alike
+// (the reader picks the pair, so either may meet any archive).  The
+// contract under test: no crash, no sanitizer report, and every rejection
+// is a typed std::exception -- the same promise the guard layer makes to
+// real callers handed a truncated or bit-flipped archive.
 //
 // Build:  cmake -B build-fuzz -S . -DCMAKE_CXX_COMPILER=clang++ \
 //             -DRMP_FUZZ=ON -DRMP_BUILD_TESTS=OFF -DRMP_BUILD_BENCH=OFF \
@@ -13,8 +14,8 @@
 #include <exception>
 #include <span>
 
-#include "compress/factory.hpp"
 #include "core/pipeline.hpp"
+#include "core/preconditioner.hpp"
 #include "io/container.hpp"
 
 namespace {
@@ -41,13 +42,15 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                               container.ny * container.nz;
   if (cells == 0 || cells > kMaxCells) return 0;
 
-  static const auto reduced = rmp::compress::make_sz_original();
-  static const auto delta = rmp::compress::make_sz_delta();
-  const rmp::core::CodecPair codecs{reduced.get(), delta.get()};
-  try {
-    (void)rmp::core::reconstruct_best_effort(container, report, codecs);
-  } catch (const std::exception&) {
-    // Salvaged-but-undecodable payloads must still fail with typed errors.
+  static const rmp::core::Codecs sz = rmp::core::make_codecs("sz");
+  static const rmp::core::Codecs zfp = rmp::core::make_codecs("zfp");
+  for (const rmp::core::Codecs* codecs : {&sz, &zfp}) {
+    try {
+      (void)rmp::core::reconstruct_best_effort(container, report,
+                                               codecs->pair());
+    } catch (const std::exception&) {
+      // Salvaged-but-undecodable payloads must still fail with typed errors.
+    }
   }
   return 0;
 }

@@ -4,7 +4,7 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "compress/codec_error.hpp"
+#include "compress/stream_io.hpp"
 #include "obs/obs.hpp"
 
 namespace rmp::compress {
@@ -120,19 +120,11 @@ std::vector<std::uint8_t> FpcCompressor::compress(std::span<const double> data,
   if (half_full) codes.push_back(pending);
 
   std::vector<std::uint8_t> out;
-  Header header{kMagic,
-                static_cast<std::uint8_t>(options_.table_bits),
-                {0, 0, 0},
-                dims.nx,
-                dims.ny,
-                dims.nz};
-  const auto* hb = reinterpret_cast<const std::uint8_t*>(&header);
-  out.insert(out.end(), hb, hb + sizeof(header));
-  const std::uint64_t code_bytes = codes.size();
-  const auto* cb = reinterpret_cast<const std::uint8_t*>(&code_bytes);
-  out.insert(out.end(), cb, cb + sizeof(code_bytes));
-  out.insert(out.end(), codes.begin(), codes.end());
-  out.insert(out.end(), residuals.begin(), residuals.end());
+  put(out, Header{kMagic, static_cast<std::uint8_t>(options_.table_bits),
+                  {0, 0, 0}, dims.nx, dims.ny, dims.nz});
+  put(out, std::uint64_t{codes.size()});
+  put(out, codes);
+  put(out, residuals);
   obs::count("codec.fpc.bytes_out", out.size());
   return out;
 }
@@ -140,42 +132,28 @@ std::vector<std::uint8_t> FpcCompressor::compress(std::span<const double> data,
 std::vector<double> FpcCompressor::decompress(
     std::span<const std::uint8_t> stream) const {
   const obs::ScopedSpan span("codec/fpc");
-  std::uint64_t code_bytes = 0;
+  StreamReader in(stream, "FPC");
+  const auto header = in.read<Header>("header");
+  const auto code_bytes = in.read<std::uint64_t>("code size");
   constexpr std::size_t code_offset = sizeof(Header) + sizeof(code_bytes);
-  if (stream.size() < code_offset) {
-    throw CodecError(CodecErrc::kTruncated, "FPC decode: truncated header");
-  }
-  Header header;
-  std::memcpy(&header, stream.data(), sizeof(header));
-  std::memcpy(&code_bytes, stream.data() + sizeof(header), sizeof(code_bytes));
   if (header.magic != kMagic) {
-    throw CodecError(CodecErrc::kMalformedStream, "FPC decode: bad magic");
+    in.fail(CodecErrc::kMalformedStream, "bad magic");
   }
   // Same range as the constructor: the tables hold 2^table_bits entries.
   if (header.table_bits < kMinTableBits || header.table_bits > kMaxTableBits) {
-    throw CodecError(CodecErrc::kMalformedStream,
-                     "FPC decode: table_bits out of range");
+    in.fail(CodecErrc::kMalformedStream, "table_bits out of range");
   }
-  std::size_t count = 0;
-  if (__builtin_mul_overflow(header.nx, header.ny, &count) ||
-      __builtin_mul_overflow(count, header.nz, &count)) {
-    throw CodecError(CodecErrc::kCountOverflow,
-                     "FPC decode: nx*ny*nz overflows");
-  }
+  const std::size_t count =
+      checked_cells({header.nx, header.ny, header.nz}, "FPC");
   // Every value costs 4 code bits, so the stream caps the count before
   // anything count-sized is allocated.
-  const std::size_t payload = stream.size() - code_offset;
-  if (count > 2 * payload) {
-    throw CodecError(CodecErrc::kCountOverflow,
-                     "FPC decode: value count exceeds the stream");
+  if (count > 2 * in.remaining()) {
+    in.fail(CodecErrc::kCountOverflow, "value count exceeds the stream");
   }
-  if (code_bytes > payload) {
-    throw CodecError(CodecErrc::kTruncated,
-                     "FPC decode: truncated code section");
-  }
+  in.block(code_bytes, "code section");  // the loop reads it in place
   if (code_bytes != (count + 1) / 2) {
-    throw CodecError(CodecErrc::kMalformedStream,
-                     "FPC decode: code section does not match the value count");
+    in.fail(CodecErrc::kMalformedStream,
+            "code section does not match the value count");
   }
   std::size_t residual_offset = code_offset + code_bytes;
 

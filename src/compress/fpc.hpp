@@ -14,6 +14,8 @@ namespace rmp::compress {
 
 struct FpcOptions {
   /// Hash tables hold 2^table_bits entries each (paper runs "level 20").
+  /// The stream carries it, so a legal 26 makes any stream, however
+  /// short, allocate 1 GB of tables; FPC has no rmpc or rmpd path.
   unsigned table_bits = 20;
 };
 

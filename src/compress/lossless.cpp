@@ -8,6 +8,7 @@
 #include "compress/bitstream.hpp"
 #include "compress/codec_error.hpp"
 #include "compress/huffman.hpp"
+#include "compress/stream_io.hpp"
 
 namespace rmp::compress {
 namespace {
@@ -146,6 +147,16 @@ Parse parse(std::span<const std::uint8_t> input, const LosslessOptions& opts) {
 
 std::vector<std::uint8_t> lossless_compress(std::span<const std::uint8_t> input,
                                             const LosslessOptions& opts) {
+  // min_match has an 8-bit field and a 0 would never advance the parse;
+  // distance widths have a 5-bit field.
+  if (opts.min_match < 1 || opts.min_match > 255) {
+    throw std::invalid_argument(
+        "lossless_compress: min_match must be in 1..255");
+  }
+  if (opts.window >= std::uint32_t{1} << 31) {
+    throw std::invalid_argument(
+        "lossless_compress: window must be below 2^31");
+  }
   // The mode byte leads the bit stream, so an LZ result is returned as
   // written, without a copy.
   BitWriter writer;
@@ -176,10 +187,8 @@ std::vector<std::uint8_t> lossless_compress(std::span<const std::uint8_t> input,
     out.clear();
     out.reserve(input.size() + 9);
     out.push_back(kModeRaw);
-    std::uint64_t size = input.size();
-    const auto* sz = reinterpret_cast<const std::uint8_t*>(&size);
-    out.insert(out.end(), sz, sz + 8);
-    out.insert(out.end(), input.begin(), input.end());
+    put(out, std::uint64_t{input.size()});
+    put(out, input);
   }
   return out;
 }
@@ -192,17 +201,10 @@ std::vector<std::uint8_t> lossless_decompress(std::span<const std::uint8_t> inpu
   const auto payload = input.subspan(1);
 
   if (mode == kModeRaw) {
-    if (payload.size() < 8) {
-      throw CodecError(CodecErrc::kTruncated,
-                       "lossless_decompress: truncated raw header");
-    }
-    std::uint64_t size = 0;
-    std::memcpy(&size, payload.data(), 8);
-    if (payload.size() - 8 < size) {
-      throw CodecError(CodecErrc::kTruncated,
-                       "lossless_decompress: truncated raw payload");
-    }
-    return {payload.begin() + 8, payload.begin() + 8 + size};
+    StreamReader raw(payload, "LZ");
+    const auto bytes =
+        raw.block(raw.read<std::uint64_t>("raw size"), "raw payload");
+    return {bytes.begin(), bytes.end()};
   }
   if (mode != kModeLz) {
     throw CodecError(CodecErrc::kMalformedStream,

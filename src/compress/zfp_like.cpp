@@ -4,13 +4,12 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 
 #include "compress/bitstream.hpp"
-#include "compress/codec_error.hpp"
+#include "compress/stream_io.hpp"
 #include "obs/obs.hpp"
 
 namespace rmp::compress {
@@ -460,16 +459,11 @@ std::vector<std::uint8_t> ZfpCompressor::compress(std::span<const double> data,
   } else if (options_.mode == ZfpMode::kFixedRate) {
     precision_or_rate = static_cast<std::uint8_t>(options_.rate);
   }
-  Header header{kMagic,
-                static_cast<std::uint8_t>(options_.mode),
-                precision_or_rate,
-                0,
-                options_.tolerance,
-                dims.nx,
-                dims.ny,
-                dims.nz};
-  const auto* hb = reinterpret_cast<const std::uint8_t*>(&header);
-  for (std::size_t i = 0; i < sizeof(header); ++i) writer.put_bits(hb[i], 8);
+  std::vector<std::uint8_t> header;
+  put(header, Header{kMagic, static_cast<std::uint8_t>(options_.mode),
+                     precision_or_rate, 0, options_.tolerance, dims.nx,
+                     dims.ny, dims.nz});
+  for (const std::uint8_t byte : header) writer.put_bits(byte, 8);
 
   std::vector<double> block(bsize);
   std::vector<std::int64_t> fixed(bsize);
@@ -537,37 +531,21 @@ std::vector<std::uint8_t> ZfpCompressor::compress(std::span<const double> data,
 std::vector<double> ZfpCompressor::decompress(
     std::span<const std::uint8_t> stream) const {
   const obs::ScopedSpan span("codec/zfp");
-  auto error = [](CodecErrc code, const std::string& detail) {
-    return CodecError(code, "ZFP decode: " + detail);
-  };
+  StreamReader in(stream, "ZFP");
   // Every header field is checked before it sizes or steers anything.
-  Header header;
-  if (stream.size() < sizeof(header)) {
-    throw error(CodecErrc::kTruncated, "stream ends inside the header");
-  }
-  std::memcpy(&header, stream.data(), sizeof(header));
+  const auto header = in.read<Header>("header");
   if (header.magic != kMagic) {
-    throw error(CodecErrc::kMalformedStream, "bad magic");
+    in.fail(CodecErrc::kMalformedStream, "bad magic");
   }
-  if (header.mode > static_cast<std::uint8_t>(ZfpMode::kFixedRate)) {
-    throw error(CodecErrc::kMalformedStream,
-                "unknown mode " + std::to_string(header.mode));
-  }
-  ZfpOptions opts;
-  opts.mode = static_cast<ZfpMode>(header.mode);
-  opts.precision = header.precision;
-  opts.rate = header.precision;  // shared one-byte field, see compress()
-  opts.tolerance = header.tolerance;
+  // Precision and rate share a one-byte field, see compress().
+  const ZfpOptions opts{static_cast<ZfpMode>(header.mode), header.precision,
+                        header.tolerance, header.precision};
   if (const std::string why = options_error(opts); !why.empty()) {
-    throw error(CodecErrc::kMalformedStream, why);
+    in.fail(CodecErrc::kMalformedStream, why);
   }
 
   const Dims dims{header.nx, header.ny, header.nz};
-  std::size_t cells = 0;
-  if (__builtin_mul_overflow(dims.nx, dims.ny, &cells) ||
-      __builtin_mul_overflow(cells, dims.nz, &cells)) {
-    throw error(CodecErrc::kCountOverflow, "nx * ny * nz overflows");
-  }
+  const std::size_t cells = checked_cells(dims, "ZFP");
   // An empty field has no blocks (scatter_block needs every extent >= 1).
   if (cells == 0) return {};
   const unsigned rank = dims.rank();
@@ -579,17 +557,17 @@ std::vector<double> ZfpCompressor::decompress(
   const std::size_t block_budget =
       fixed_rate ? static_cast<std::size_t>(opts.rate) * bsize : kUnlimited;
   if (fixed_rate && block_budget < kMinBlockBudget) {
-    throw error(CodecErrc::kMalformedStream, "rate too low for this rank");
+    in.fail(CodecErrc::kMalformedStream, "rate too low for this rank");
   }
   // A block costs at least its 1-bit flag, and exactly its budget in fixed
   // rate: cap the block count by the stream before `out` is sized.
-  BitReader reader(stream.subspan(sizeof(header)));
+  BitReader reader(in.rest());
   const std::size_t min_block_bits = fixed_rate ? block_budget : 1;
   if (bi.block_count() > reader.remaining_bits() / min_block_bits) {
-    throw error(fixed_rate ? CodecErrc::kTruncated : CodecErrc::kCountOverflow,
-                "header claims " + std::to_string(bi.block_count()) +
-                    " blocks, the stream holds " +
-                    std::to_string(reader.remaining_bits()) + " bits");
+    in.fail(fixed_rate ? CodecErrc::kTruncated : CodecErrc::kCountOverflow,
+            "header claims " + std::to_string(bi.block_count()) +
+                " blocks, the stream holds " +
+                std::to_string(reader.remaining_bits()) + " bits");
   }
 
   std::vector<double> out(cells);
@@ -628,9 +606,8 @@ std::vector<double> ZfpCompressor::decompress(
       }
     }
   } catch (const std::out_of_range&) {
-    throw error(CodecErrc::kTruncated,
-                "stream ends inside block data at bit " +
-                    std::to_string(reader.bit_position()));
+    in.fail(CodecErrc::kTruncated, "stream ends inside block data at bit " +
+                                       std::to_string(reader.bit_position()));
   }
   return out;
 }

@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 
@@ -130,6 +131,56 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(6u, 10u, 16u),
                        ::testing::Values(4u, 8u),
                        ::testing::Values(1u, 8u, 64u)));
+
+// Options the stream cannot carry are rejected up front: min_match has an
+// 8-bit field, and distance widths a 5-bit one.
+std::vector<std::uint8_t> motif_input() {
+  std::vector<std::uint8_t> input;
+  const auto motif = bytes_of("0123456789");
+  for (int rep = 0; rep < 3000; ++rep) {
+    input.insert(input.end(), motif.begin(), motif.end());
+  }
+  return input;
+}
+
+TEST(LosslessOptionsRange, MinMatchAbove255IsRejected) {
+  // 300 used to make an 80-byte stream that failed with "size mismatch".
+  for (const std::uint32_t min_match : {256u, 300u}) {
+    LosslessOptions options;
+    options.min_match = min_match;
+    EXPECT_THROW(lossless_compress(motif_input(), options),
+                 std::invalid_argument)
+        << min_match;
+  }
+}
+
+TEST(LosslessOptionsRange, MinMatchZeroIsRejected) {
+  // A zero-length match never advances the parse.
+  LosslessOptions options;
+  options.min_match = 0;
+  EXPECT_THROW(lossless_compress(motif_input(), options),
+               std::invalid_argument);
+}
+
+TEST(LosslessOptionsRange, WindowOf2To31IsRejected) {
+  for (const std::uint32_t window : {1u << 31, ~0u}) {
+    LosslessOptions options;
+    options.window = window;
+    EXPECT_THROW(lossless_compress(motif_input(), options),
+                 std::invalid_argument)
+        << window;
+  }
+}
+
+TEST(LosslessOptionsRange, LimitsRoundTrip) {
+  const auto input = motif_input();
+  for (const LosslessOptions& options :
+       {LosslessOptions{1u << 16, 1, 32}, LosslessOptions{1u << 16, 255, 32},
+        LosslessOptions{(1u << 31) - 1, 4, 32}}) {
+    EXPECT_EQ(lossless_decompress(lossless_compress(input, options)), input)
+        << options.window << " " << options.min_match;
+  }
+}
 
 class LosslessRandomized : public ::testing::TestWithParam<unsigned> {};
 
