@@ -736,6 +736,12 @@ std::vector<double> SzCompressor::decompress(
       in.fail(CodecErrc::kMalformedStream,
               "bound table does not cover the grid");
     }
+    // block_relative_bounds writes rel * max|v|, which is >= 0 (+inf on
+    // overflow); a negative or NaN entry would scale its block's values.
+    if (!std::all_of(table.bounds.begin(), table.bounds.end(),
+                     [](double b) { return b >= 0.0; })) {
+      in.fail(CodecErrc::kMalformedStream, "bound table entry is not >= 0");
+    }
     table.per_block = true;
   }
   const bool hybrid = opts.predictor == SzPredictor::kHybrid;

@@ -108,6 +108,22 @@ std::size_t max_section_size(const Container& container) {
   return max;
 }
 
+// Parity step: dst[k] ^= src[k] for every k < src.size(), a word at a time;
+// dst is at least as long as src.
+void xor_into(std::span<std::uint8_t> dst, std::span<const std::uint8_t> src) {
+  std::uint8_t* d = dst.data();
+  const std::uint8_t* s = src.data();
+  std::size_t k = 0;
+  for (; src.size() - k >= 8; k += 8) {
+    std::uint64_t a, b;
+    std::memcpy(&a, d + k, 8);
+    std::memcpy(&b, s + k, 8);
+    a ^= b;
+    std::memcpy(d + k, &a, 8);
+  }
+  for (; k < src.size(); ++k) d[k] ^= s[k];
+}
+
 // ---------------------------------------------------------------------------
 // v3: [magic, version, flags, method, dims, count,
 //      directory {name, size, crc}*, (parity_size, parity_crc)?, header_crc]
@@ -295,10 +311,7 @@ ParsedV3 read_v3(std::span<const std::uint8_t> bytes, bool strict) {
         std::find(intact.begin(), intact.end(), false) - intact.begin());
     repaired_bytes.assign(parity.begin(), parity.end());
     for (std::size_t s = 0; s < payloads.size(); ++s) {
-      if (s == target) continue;
-      for (std::size_t k = 0; k < payloads[s].size(); ++k) {
-        repaired_bytes[k] ^= payloads[s][k];
-      }
+      if (s != target) xor_into(repaired_bytes, payloads[s]);
     }
     repaired_bytes.resize(static_cast<std::size_t>(header.dir[target].size));
     if (crc32(repaired_bytes) == header.dir[target].crc) {
@@ -488,9 +501,7 @@ std::vector<std::uint8_t> serialize(const Container& container,
   if (options.with_parity) {
     parity.assign(max_section_size(container), 0);
     for (const auto& section : container.sections) {
-      for (std::size_t k = 0; k < section.bytes.size(); ++k) {
-        parity[k] ^= section.bytes[k];
-      }
+      xor_into(parity, section.bytes);
     }
   }
 

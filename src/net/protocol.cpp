@@ -240,7 +240,7 @@ std::vector<std::uint8_t> encode_frame(MsgType type, std::uint64_t request_id,
   store_le64(out.data() + 12, request_id);
   store_le32(out.data() + 20, deadline_ms);
   store_le32(out.data() + 24, static_cast<std::uint32_t>(payload.size()));
-  store_le32(out.data() + 28, payload.empty() ? 0u : io::crc32(payload));
+  store_le32(out.data() + 28, io::crc32(payload));
   store_le32(out.data() + 32, io::crc32({out.data(), 32}));
   // memcpy from an empty span's null data() is undefined even for 0 bytes.
   if (!payload.empty())
@@ -324,9 +324,7 @@ std::optional<Frame> FrameDecoder::next() {
         buffer_.begin() + static_cast<long>(consumed_ + pending_->payload_size));
     consumed_ += pending_->payload_size;
     pending_.reset();
-    const std::uint32_t crc =
-        frame.payload.empty() ? 0u : io::crc32(frame.payload);
-    if (crc != pending_payload_crc_) {
+    if (io::crc32(frame.payload) != pending_payload_crc_) {
       throw NetError(NetErrc::kPayloadCorrupt, "payload CRC mismatch");
     }
     return frame;

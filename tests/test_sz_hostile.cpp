@@ -199,6 +199,25 @@ TEST(SzHostile, PatchedHeaderFieldsAreTypedBeforeAllocation) {
               malformed, "exception position");
 }
 
+// Block-relative bounds are rel * max|v| per block: never negative or
+// NaN, but +inf when the product overflows and 0 when it underflows.
+TEST(SzHostile, BlockRelativeBoundEntriesAreChecked) {
+  const Bytes rel = payload_of(kCases[1].options);
+  const std::size_t first_entry = after_outliers(rel) + 8;
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    expect_code(with(rel, [&](Bytes& b) { patch(b, first_entry, bad); }),
+                CodecErrc::kMalformedStream,
+                "bound entry " + std::to_string(bad));
+  }
+  for (const double ok : {0.0, std::numeric_limits<double>::infinity()}) {
+    const Bytes patched =
+        with(rel, [&](Bytes& b) { patch(b, first_entry, ok); });
+    EXPECT_EQ(SzCompressor{}.decompress(lossless_compress(patched)).size(),
+              kDims.count())
+        << "bound entry " << ok;
+  }
+}
+
 // Cutting the payload itself (not its LZ wrapper) reaches every SZ read:
 // each cut names the field it ends in, or the array that no longer fits.
 TEST(SzHostile, PayloadTruncatedAtEveryByteNamesTheField) {
