@@ -222,16 +222,75 @@ TEST(NetProto, EncodeRequestShapeMismatchIsMalformed) {
   }
 }
 
-TEST(NetProto, TruncatedPayloadIsMalformedNotACrash) {
-  net::EncodeRequest request;
-  request.nx = 8;
-  request.data.assign(8, 2.0);
-  const auto wire = request.encode();
-  for (std::size_t cut = 0; cut < wire.size(); cut += 7) {
-    std::span<const std::uint8_t> head(wire.data(), cut);
-    EXPECT_THROW((void)net::EncodeRequest::decode(head), NetError)
-        << "cut at " << cut;
+/// Decode every proper prefix of `message`'s payload; each one must be a
+/// typed kMalformedPayload, never a crash, an untyped throw or a success.
+template <typename Message>
+void expect_every_cut_malformed(const Message& message, const char* what) {
+  const auto wire = message.encode();
+  ASSERT_FALSE(wire.empty()) << what;
+  for (std::size_t cut = 0; cut < wire.size(); ++cut) {
+    // A copy sized to the cut, so ASan sees a read past the prefix.
+    const std::vector<std::uint8_t> head(wire.begin(),
+                                         wire.begin() + static_cast<long>(cut));
+    try {
+      (void)Message::decode(head);
+      ADD_FAILURE() << what << " cut at " << cut << " decoded";
+    } catch (const NetError& e) {
+      EXPECT_EQ(e.code(), NetErrc::kMalformedPayload)
+          << what << " cut at " << cut << ": " << e.what();
+    }
   }
+}
+
+TEST(NetProto, TruncatedPayloadIsMalformedNotACrash) {
+  net::EncodeRequest encode_request;
+  encode_request.nx = 8;
+  encode_request.store = net::StoreMode::kFile;
+  encode_request.store_name = "a.rmp";
+  encode_request.error_bound = 0.5;
+  encode_request.data.assign(8, 2.0);
+  expect_every_cut_malformed(encode_request, "EncodeRequest");
+
+  net::EncodeResponse encode_response;
+  encode_response.method = "pca";
+  encode_response.stored_path = "a.rmp";
+  encode_response.container = bytes_of("archive");
+  expect_every_cut_malformed(encode_response, "EncodeResponse");
+
+  net::DecodeRequest decode_request;
+  decode_request.codec = "zfp";
+  decode_request.container = bytes_of("archive");
+  expect_every_cut_malformed(decode_request, "DecodeRequest");
+
+  net::DecodeResponse decode_response;
+  decode_response.nx = 2;
+  decode_response.detail = "approximate";
+  decode_response.data = {1.0, 2.0};
+  expect_every_cut_malformed(decode_response, "DecodeResponse");
+
+  net::VerifyRequest verify_request;
+  verify_request.container = bytes_of("archive");
+  expect_every_cut_malformed(verify_request, "VerifyRequest");
+
+  net::VerifyResponse verify_response;
+  verify_response.version = 4;
+  verify_response.detail = "ok";
+  expect_every_cut_malformed(verify_response, "VerifyResponse");
+
+  net::ScrubResponse scrub_response;
+  scrub_response.files_checked = 3;
+  scrub_response.detail = "clean";
+  expect_every_cut_malformed(scrub_response, "ScrubResponse");
+
+  net::StatsResponse stats_response;
+  stats_response.accepted = 9;
+  stats_response.obs_json = "{}";
+  expect_every_cut_malformed(stats_response, "StatsResponse");
+
+  net::ErrorResponse error_response;
+  error_response.message = "busy";
+  error_response.retry_after_ms = 10;
+  expect_every_cut_malformed(error_response, "ErrorResponse");
 }
 
 TEST(NetProto, TrailingGarbageIsMalformed) {
