@@ -11,6 +11,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "base/byte_io.hpp"
+
 namespace rmp::compress {
 
 enum class CodecErrc : std::uint8_t {
@@ -44,5 +46,25 @@ class CodecError : public std::runtime_error {
  private:
   CodecErrc code_;
 };
+
+/// ByteReader hook for the codec streams: a short field is kTruncated, a
+/// count the bytes left cannot hold kCountOverflow, trailing bytes
+/// kMalformedStream, and every message names the codec, e.g. "SZ decode:
+/// stream ends in outlier count".
+struct CodecHook {
+  const char* codec;
+
+  [[noreturn]] void fail(ReadFault fault, const std::string& detail) const {
+    fail(fault == ReadFault::kEnds    ? CodecErrc::kTruncated
+         : fault == ReadFault::kCount ? CodecErrc::kCountOverflow
+                                      : CodecErrc::kMalformedStream,
+         detail);
+  }
+  [[noreturn]] void fail(CodecErrc code, const std::string& detail) const {
+    throw CodecError(code, std::string(codec) + " decode: " + detail);
+  }
+};
+
+using StreamReader = ByteReader<CodecHook>;
 
 }  // namespace rmp::compress

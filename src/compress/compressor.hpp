@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "compress/codec_error.hpp"
+
 namespace rmp::compress {
 
 /// Logical grid shape, up to 3 dimensions.  Unused trailing dimensions are 1.
@@ -36,6 +38,19 @@ struct Dims {
     return {nx, ny, nz};
   }
 };
+
+/// nx*ny*nz of a stream header's dims, or kCountOverflow: a wrapped product
+/// could pass a codec's own caps while its loops walk the true extent.
+/// Each codec still caps the cells by what the rest of its stream encodes.
+inline std::size_t checked_cells(const Dims& dims, const char* codec) {
+  std::size_t cells = 0;
+  if (__builtin_mul_overflow(dims.nx, dims.ny, &cells) ||
+      __builtin_mul_overflow(cells, dims.nz, &cells)) {
+    throw CodecError(CodecErrc::kCountOverflow,
+                     std::string(codec) + " decode: nx*ny*nz overflows");
+  }
+  return cells;
+}
 
 class Compressor {
  public:

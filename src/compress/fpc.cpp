@@ -4,7 +4,7 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "compress/stream_io.hpp"
+#include "compress/codec_error.hpp"
 #include "obs/obs.hpp"
 
 namespace rmp::compress {
@@ -132,7 +132,7 @@ std::vector<std::uint8_t> FpcCompressor::compress(std::span<const double> data,
 std::vector<double> FpcCompressor::decompress(
     std::span<const std::uint8_t> stream) const {
   const obs::ScopedSpan span("codec/fpc");
-  StreamReader in(stream, "FPC");
+  StreamReader in(stream, {"FPC"});
   const auto header = in.read<Header>("header");
   const auto code_bytes = in.read<std::uint64_t>("code size");
   constexpr std::size_t code_offset = sizeof(Header) + sizeof(code_bytes);

@@ -8,7 +8,6 @@
 #include "compress/bitstream.hpp"
 #include "compress/codec_error.hpp"
 #include "compress/huffman.hpp"
-#include "compress/stream_io.hpp"
 
 namespace rmp::compress {
 namespace {
@@ -201,7 +200,7 @@ std::vector<std::uint8_t> lossless_decompress(std::span<const std::uint8_t> inpu
   const auto payload = input.subspan(1);
 
   if (mode == kModeRaw) {
-    StreamReader raw(payload, "LZ");
+    StreamReader raw(payload, {"LZ"});
     const auto bytes =
         raw.block(raw.read<std::uint64_t>("raw size"), "raw payload");
     return {bytes.begin(), bytes.end()};

@@ -11,7 +11,6 @@
 #include "compress/codec_error.hpp"
 #include "compress/huffman.hpp"
 #include "compress/lossless.hpp"
-#include "compress/stream_io.hpp"
 #include "obs/obs.hpp"
 
 namespace rmp::compress {
@@ -695,7 +694,7 @@ std::vector<double> SzCompressor::decompress(
     const obs::ScopedSpan lspan("codec/sz/unlossless");
     payload = lossless_decompress(stream);
   }
-  StreamReader in(payload, "SZ");
+  StreamReader in(payload, {"SZ"});
 
   const auto header = in.read<Header>("header");
   if (header.magic != kMagic) {

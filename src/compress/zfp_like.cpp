@@ -9,7 +9,7 @@
 #include <string>
 
 #include "compress/bitstream.hpp"
-#include "compress/stream_io.hpp"
+#include "compress/codec_error.hpp"
 #include "obs/obs.hpp"
 
 namespace rmp::compress {
@@ -531,7 +531,7 @@ std::vector<std::uint8_t> ZfpCompressor::compress(std::span<const double> data,
 std::vector<double> ZfpCompressor::decompress(
     std::span<const std::uint8_t> stream) const {
   const obs::ScopedSpan span("codec/zfp");
-  StreamReader in(stream, "ZFP");
+  StreamReader in(stream, {"ZFP"});
   // Every header field is checked before it sizes or steers anything.
   const auto header = in.read<Header>("header");
   if (header.magic != kMagic) {

@@ -1,8 +1,8 @@
 #include "core/cascade.hpp"
 
-#include <cstring>
 #include <stdexcept>
 
+#include "compress/codec_error.hpp"
 #include "obs/obs.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -22,19 +22,16 @@ class NullCodec final : public compress::Compressor {
     if (data.size() != dims.count()) {
       throw std::invalid_argument("NullCodec: size mismatch");
     }
-    std::vector<std::uint8_t> bytes(sizeof(std::uint64_t));
-    const std::uint64_t count = data.size();
-    std::memcpy(bytes.data(), &count, sizeof(count));
+    std::vector<std::uint8_t> bytes;
+    put(bytes, std::uint64_t{data.size()});
     return bytes;
   }
 
   std::vector<double> decompress(
       std::span<const std::uint8_t> stream) const override {
-    if (stream.size() != sizeof(std::uint64_t)) {
-      throw std::runtime_error("NullCodec: bad stream");
-    }
-    std::uint64_t count = 0;
-    std::memcpy(&count, stream.data(), sizeof(count));
+    compress::StreamReader in(stream, {"null"});
+    const auto count = in.read<std::uint64_t>("count");
+    in.finish("count");
     return std::vector<double>(count, 0.0);
   }
 };

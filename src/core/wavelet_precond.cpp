@@ -53,7 +53,7 @@ io::Container WaveletPreconditioner::encode(const sim::Field& field,
   const std::uint64_t meta[1] = {use_3d ? 1u : 0u};
   return reduced_model_container(
       name(), field,
-      {{"sparse", compress::lossless_compress(sparse.serialize())}},
+      {{"sparse", compress::lossless_compress(csr_to_bytes(sparse))}},
       delta.flat(), meta, codecs, stats);
 }
 
@@ -63,8 +63,8 @@ sim::Field WaveletPreconditioner::decode(const io::Container& container,
   const obs::ScopedSpan span("wavelet");
   const auto& sparse_section = require_section(container, "sparse", "wavelet");
   sim::Field out = decode_delta(container, codecs, "wavelet");
-  const auto raw = compress::lossless_decompress(sparse_section.bytes);
-  const la::CsrMatrix sparse = la::CsrMatrix::deserialize(raw.data(), raw.size());
+  const la::CsrMatrix sparse = bytes_to_csr(
+      compress::lossless_decompress(sparse_section.bytes), out.size());
 
   bool use_3d = false;
   if (const auto* meta_section = container.find("meta")) {

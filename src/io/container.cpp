@@ -18,90 +18,6 @@ constexpr std::uint32_t kVersionV3 = 3;       // per-section CRC + parity
 constexpr std::uint32_t kVersionV4 = 4;       // v3 + explicit chunk index
 constexpr std::uint32_t kFlagParity = 1u << 0;
 
-void append_bytes(std::vector<std::uint8_t>& out, const void* p, std::size_t n) {
-  const auto* b = static_cast<const std::uint8_t*>(p);
-  out.insert(out.end(), b, b + n);
-}
-
-void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  append_bytes(out, &v, sizeof(v));
-}
-void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  append_bytes(out, &v, sizeof(v));
-}
-void append_string(std::vector<std::uint8_t>& out, const std::string& s) {
-  append_u32(out, static_cast<std::uint32_t>(s.size()));
-  append_bytes(out, s.data(), s.size());
-}
-
-class Cursor {
- public:
-  explicit Cursor(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  std::size_t offset() const noexcept { return offset_; }
-  std::size_t remaining() const noexcept { return bytes_.size() - offset_; }
-
-  void read(void* p, std::size_t n) {
-    // Compare against the remaining budget, never `offset_ + n`: the sum
-    // wraps for adversarial n near UINT64_MAX and would pass the check.
-    if (n > remaining()) {
-      throw ContainerError(ContainerErrc::kTruncated,
-                           "truncated input (need " + std::to_string(n) +
-                               " bytes, have " + std::to_string(remaining()) +
-                               ")");
-    }
-    std::memcpy(p, bytes_.data() + offset_, n);
-    offset_ += n;
-  }
-  void skip(std::uint64_t n) {
-    if (n > remaining()) {
-      throw ContainerError(ContainerErrc::kTruncated, "truncated input");
-    }
-    offset_ += static_cast<std::size_t>(n);
-  }
-  std::uint32_t read_u32() {
-    std::uint32_t v;
-    read(&v, sizeof(v));
-    return v;
-  }
-  std::uint64_t read_u64() {
-    std::uint64_t v;
-    read(&v, sizeof(v));
-    return v;
-  }
-  std::string read_string() {
-    const std::uint32_t n = read_u32();
-    // Validate against the remaining bytes *before* allocating: a corrupt
-    // length must not trigger a multi-GiB allocation.
-    if (n > remaining()) {
-      throw ContainerError(ContainerErrc::kTruncated,
-                           "string length " + std::to_string(n) +
-                               " exceeds remaining " +
-                               std::to_string(remaining()) + " bytes");
-    }
-    std::string s(n, '\0');
-    read(s.data(), n);
-    return s;
-  }
-  std::vector<std::uint8_t> read_blob() {
-    const std::uint64_t n = read_u64();
-    if (n > remaining()) {
-      throw ContainerError(ContainerErrc::kTruncated,
-                           "section length " + std::to_string(n) +
-                               " exceeds remaining " +
-                               std::to_string(remaining()) + " bytes");
-    }
-    std::vector<std::uint8_t> blob(bytes_.begin() + offset_,
-                                   bytes_.begin() + offset_ + n);
-    offset_ += static_cast<std::size_t>(n);
-    return blob;
-  }
-
- private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t offset_ = 0;
-};
-
 std::size_t max_section_size(const Container& container) {
   std::size_t max = 0;
   for (const auto& s : container.sections) max = std::max(max, s.bytes.size());
@@ -157,42 +73,41 @@ struct HeaderV3 {
 /// seekable reads.
 HeaderV3 parse_v34_header(std::span<const std::uint8_t> bytes,
                           std::uint64_t available) {
-  Cursor cursor(bytes);
-  if (cursor.read_u32() != kMagic) {
+  ByteReader in(bytes, ContainerHook{});
+  if (in.read<std::uint32_t>("magic") != kMagic) {
     throw ContainerError(ContainerErrc::kBadMagic, "bad magic");
   }
   HeaderV3 header;
-  header.version = cursor.read_u32();
+  header.version = in.read<std::uint32_t>("version");
   if (header.version != kVersionV3 && header.version != kVersionV4) {
     throw ContainerError(ContainerErrc::kBadVersion,
                          "not a v3/v4 container");
   }
-  const std::uint32_t flags = cursor.read_u32();
+  const auto flags = in.read<std::uint32_t>("flags");
   if ((flags & ~kFlagParity) != 0) {
     throw ContainerError(ContainerErrc::kHeaderCorrupt,
                          "unknown flag bits set");
   }
   header.parity = (flags & kFlagParity) != 0;
-  header.shell.method = cursor.read_string();
-  header.shell.nx = cursor.read_u64();
-  header.shell.ny = cursor.read_u64();
-  header.shell.nz = cursor.read_u64();
-  const std::uint32_t count = cursor.read_u32();
+  header.shell.method = in.string("method");
+  header.shell.nx = in.read<std::uint64_t>("nx");
+  header.shell.ny = in.read<std::uint64_t>("ny");
+  header.shell.nz = in.read<std::uint64_t>("nz");
+  const auto count = in.read<std::uint32_t>("section count");
   // A directory entry occupies at least 16 bytes (24 in v4), so a count
   // that cannot fit in the remaining input is corruption -- reject before
   // reserving.
   const std::size_t min_entry = header.version == kVersionV4 ? 24 : 16;
-  if (count > cursor.remaining() / min_entry) {
-    throw ContainerError(ContainerErrc::kTruncated,
-                         "section directory larger than input");
+  if (count > in.remaining() / min_entry) {
+    in.fail(ReadFault::kCount, "section directory larger than input");
   }
   header.dir.reserve(count);
   std::uint64_t running = 0;
   for (std::uint32_t s = 0; s < count; ++s) {
     DirEntry entry;
-    entry.name = cursor.read_string();
+    entry.name = in.string("section name");
     if (header.version == kVersionV4) {
-      entry.offset = cursor.read_u64();
+      entry.offset = in.read<std::uint64_t>("section offset");
       // The chunk index must describe exactly the contiguous layout the
       // serializer emits: gaps or overlaps would let a corrupt entry
       // alias another section's bytes past its CRC domain.
@@ -204,8 +119,8 @@ HeaderV3 parse_v34_header(std::span<const std::uint8_t> bytes,
     } else {
       entry.offset = running;
     }
-    entry.size = cursor.read_u64();
-    entry.crc = cursor.read_u32();
+    entry.size = in.read<std::uint64_t>("section size");
+    entry.crc = in.read<std::uint32_t>("section crc");
     constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
     if (entry.size > kMaxU64 - running) {
       throw ContainerError(ContainerErrc::kTruncated,
@@ -215,16 +130,15 @@ HeaderV3 parse_v34_header(std::span<const std::uint8_t> bytes,
     header.dir.push_back(std::move(entry));
   }
   if (header.parity) {
-    header.parity_size = cursor.read_u64();
-    header.parity_crc = cursor.read_u32();
+    header.parity_size = in.read<std::uint64_t>("parity size");
+    header.parity_crc = in.read<std::uint32_t>("parity crc");
   }
-  const std::size_t crc_offset = cursor.offset();
-  const std::uint32_t stored_crc = cursor.read_u32();
-  if (crc32(bytes.first(crc_offset)) != stored_crc) {
+  const std::size_t crc_offset = in.offset();
+  if (crc32(bytes.first(crc_offset)) != in.read<std::uint32_t>("header crc")) {
     throw ContainerError(ContainerErrc::kHeaderCorrupt,
                          "header checksum mismatch");
   }
-  header.payload_offset = cursor.offset();
+  header.payload_offset = in.offset();
 
   // Overflow-safe footprint: sizes are attacker-controlled u64s.
   constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
@@ -350,45 +264,38 @@ ParsedV3 read_v3(std::span<const std::uint8_t> bytes, bool strict) {
 
 Container deserialize_v2(std::span<const std::uint8_t> bytes,
                          ReadReport* report) {
-  if (bytes.size() < sizeof(std::uint32_t)) {
-    throw ContainerError(ContainerErrc::kTruncated, "truncated input");
-  }
-  const std::size_t body_size = bytes.size() - sizeof(std::uint32_t);
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + body_size, sizeof(stored_crc));
-  if (crc32(bytes.first(body_size)) != stored_crc) {
+  const std::size_t body_size =
+      bytes.size() - std::min(bytes.size(), sizeof(std::uint32_t));
+  ByteReader trailer(bytes.subspan(body_size), ContainerHook{});
+  if (crc32(bytes.first(body_size)) != trailer.read<std::uint32_t>("v2 crc")) {
     throw ContainerError(ContainerErrc::kChecksumMismatch,
                          "v2 whole-file checksum mismatch (corrupt data)");
   }
 
-  Cursor cursor(bytes.first(body_size));
-  if (cursor.read_u32() != kMagic) {
+  ByteReader in(bytes.first(body_size), ContainerHook{});
+  if (in.read<std::uint32_t>("magic") != kMagic) {
     throw ContainerError(ContainerErrc::kBadMagic, "bad magic");
   }
-  if (cursor.read_u32() != kVersionV2) {
+  if (in.read<std::uint32_t>("version") != kVersionV2) {
     throw ContainerError(ContainerErrc::kBadVersion, "not a v2 container");
   }
   Container container;
-  container.method = cursor.read_string();
-  container.nx = cursor.read_u64();
-  container.ny = cursor.read_u64();
-  container.nz = cursor.read_u64();
-  const std::uint32_t count = cursor.read_u32();
-  if (count > cursor.remaining() / 12) {
-    throw ContainerError(ContainerErrc::kTruncated,
-                         "section count larger than input");
+  container.method = in.string("method");
+  container.nx = in.read<std::uint64_t>("nx");
+  container.ny = in.read<std::uint64_t>("ny");
+  container.nz = in.read<std::uint64_t>("nz");
+  const auto count = in.read<std::uint32_t>("section count");
+  if (count > in.remaining() / 12) {
+    in.fail(ReadFault::kCount, "section count larger than input");
   }
   container.sections.reserve(count);
   for (std::uint32_t s = 0; s < count; ++s) {
     Section section;
-    section.name = cursor.read_string();
-    section.bytes = cursor.read_blob();
+    section.name = in.string("section name");
+    section.bytes = in.counted<std::uint8_t>("section bytes");
     container.sections.push_back(std::move(section));
   }
-  if (cursor.remaining() != 0) {
-    throw ContainerError(ContainerErrc::kTrailingGarbage,
-                         "v2 body extends past last section");
-  }
+  in.finish("the last v2 section");
   if (report != nullptr) {
     *report = ReadReport{};
     report->version = kVersionV2;
@@ -401,12 +308,9 @@ Container deserialize_v2(std::span<const std::uint8_t> bytes,
 }
 
 std::uint32_t peek_version(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < 2 * sizeof(std::uint32_t)) {
-    throw ContainerError(ContainerErrc::kTruncated, "truncated input");
-  }
-  std::uint32_t magic = 0, version = 0;
-  std::memcpy(&magic, bytes.data(), sizeof(magic));
-  std::memcpy(&version, bytes.data() + sizeof(magic), sizeof(version));
+  ByteReader in(bytes, ContainerHook{});
+  const auto magic = in.read<std::uint32_t>("magic");
+  const auto version = in.read<std::uint32_t>("version");
   if (magic != kMagic) {
     throw ContainerError(ContainerErrc::kBadMagic, "bad magic");
   }
@@ -506,34 +410,32 @@ std::vector<std::uint8_t> serialize(const Container& container,
   }
 
   std::vector<std::uint8_t> out;
-  append_u32(out, kMagic);
-  append_u32(out, options.with_chunk_index ? kVersionV4 : kVersionV3);
-  append_u32(out, options.with_parity ? kFlagParity : 0u);
-  append_string(out, container.method);
-  append_u64(out, container.nx);
-  append_u64(out, container.ny);
-  append_u64(out, container.nz);
-  append_u32(out, static_cast<std::uint32_t>(container.sections.size()));
+  put(out, kMagic);
+  put(out, options.with_chunk_index ? kVersionV4 : kVersionV3);
+  put(out, options.with_parity ? kFlagParity : 0u);
+  put_string(out, container.method);
+  put(out, std::uint64_t{container.nx});
+  put(out, std::uint64_t{container.ny});
+  put(out, std::uint64_t{container.nz});
+  put(out, static_cast<std::uint32_t>(container.sections.size()));
   std::uint64_t payload_cursor = 0;
   for (const auto& section : container.sections) {
-    append_string(out, section.name);
+    put_string(out, section.name);
     if (options.with_chunk_index) {
-      append_u64(out, payload_cursor);
+      put(out, payload_cursor);
       payload_cursor += section.bytes.size();
     }
-    append_u64(out, section.bytes.size());
-    append_u32(out, crc32(section.bytes));
+    put(out, std::uint64_t{section.bytes.size()});
+    put(out, crc32(section.bytes));
   }
   if (options.with_parity) {
-    append_u64(out, parity.size());
-    append_u32(out, crc32(parity));
+    put(out, std::uint64_t{parity.size()});
+    put(out, crc32(parity));
   }
-  append_u32(out, crc32(out));  // header CRC
+  put(out, crc32(out));  // header CRC
 
-  for (const auto& section : container.sections) {
-    append_bytes(out, section.bytes.data(), section.bytes.size());
-  }
-  append_bytes(out, parity.data(), parity.size());
+  for (const auto& section : container.sections) put(out, section.bytes);
+  put(out, parity);
   return out;
 }
 
@@ -576,20 +478,21 @@ std::optional<std::size_t> probe_container(
       // Walk the structure to find the candidate end, then demand the
       // whole-file CRC holds -- a corrupt length field would otherwise
       // send the walk (and the scan resting on it) anywhere.
-      Cursor cursor(bytes);
-      cursor.skip(2 * sizeof(std::uint32_t));
-      (void)cursor.read_string();          // method
-      cursor.skip(3 * sizeof(std::uint64_t));
-      const std::uint32_t count = cursor.read_u32();
-      if (count > cursor.remaining() / 12) return std::nullopt;
+      ByteReader in(bytes, ContainerHook{});
+      (void)in.block(2 * sizeof(std::uint32_t), "magic and version");
+      (void)in.string("method");
+      (void)in.block(3 * sizeof(std::uint64_t), "dims");
+      const auto count = in.read<std::uint32_t>("section count");
+      if (count > in.remaining() / 12) return std::nullopt;
       for (std::uint32_t s = 0; s < count; ++s) {
-        (void)cursor.read_string();
-        cursor.skip(cursor.read_u64());
+        (void)in.string("section name");
+        (void)in.block(in.read<std::uint64_t>("section size"), "section bytes");
       }
-      const std::size_t body = cursor.offset();
-      const std::uint32_t stored = cursor.read_u32();
-      if (crc32(bytes.first(body)) != stored) return std::nullopt;
-      return cursor.offset();
+      const std::size_t body = in.offset();
+      if (crc32(bytes.first(body)) != in.read<std::uint32_t>("v2 crc")) {
+        return std::nullopt;
+      }
+      return in.offset();
     }
     return std::nullopt;
   } catch (const ContainerError&) {

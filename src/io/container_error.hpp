@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "base/byte_io.hpp"
+
 namespace rmp::io {
 
 enum class ContainerErrc : std::uint8_t {
@@ -74,6 +76,18 @@ class ContainerError : public std::runtime_error {
 
   ContainerErrc code_;
   std::string section_;
+};
+
+/// ByteReader hook for the container, sequence-file and request-log
+/// layouts: a short field or an oversized length is kTruncated, bytes past
+/// the last field kTrailingGarbage.
+struct ContainerHook {
+  [[noreturn]] void fail(ReadFault fault, const std::string& detail) const {
+    throw ContainerError(fault == ReadFault::kTrailing
+                             ? ContainerErrc::kTrailingGarbage
+                             : ContainerErrc::kTruncated,
+                         detail);
+  }
 };
 
 }  // namespace rmp::io

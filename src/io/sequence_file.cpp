@@ -1,7 +1,6 @@
 #include "io/sequence_file.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 
 #include "io/checksum.hpp"
@@ -40,57 +39,40 @@ static_assert(sizeof(std::uint64_t) * 3 + sizeof(std::uint32_t) * 2 ==
 
 std::vector<std::uint8_t> encode_marker(std::uint64_t step, std::uint64_t size,
                                         std::uint32_t payload_crc) {
-  std::vector<std::uint8_t> bytes(kSequenceCommitMarkerBytes);
-  std::uint8_t* out = bytes.data();
-  auto put = [&out](const void* p, std::size_t n) {
-    std::memcpy(out, p, n);
-    out += n;
-  };
-  put(&kCommitMagic, 8);
-  put(&step, 8);
-  put(&size, 8);
-  put(&payload_crc, 4);
-  const std::uint32_t marker_crc =
-      crc32(std::span<const std::uint8_t>(bytes.data(), 28));
-  put(&marker_crc, 4);
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(kSequenceCommitMarkerBytes);
+  put(bytes, kCommitMagic);
+  put(bytes, step);
+  put(bytes, size);
+  put(bytes, payload_crc);
+  put(bytes, crc32(bytes));
   return bytes;
 }
 
 bool decode_marker(std::span<const std::uint8_t> bytes, CommitMarker* marker) {
   if (bytes.size() < kSequenceCommitMarkerBytes) return false;
-  const std::uint8_t* in = bytes.data();
-  auto get = [&in](void* p, std::size_t n) {
-    std::memcpy(p, in, n);
-    in += n;
-  };
-  get(&marker->magic, 8);
-  get(&marker->step, 8);
-  get(&marker->size, 8);
-  get(&marker->payload_crc, 4);
-  get(&marker->marker_crc, 4);
+  ByteReader in(bytes, ContainerHook{});
+  marker->magic = in.read<std::uint64_t>("marker magic");
+  marker->step = in.read<std::uint64_t>("marker step");
+  marker->size = in.read<std::uint64_t>("marker size");
+  marker->payload_crc = in.read<std::uint32_t>("marker payload crc");
+  const std::size_t crc_offset = in.offset();
+  marker->marker_crc = in.read<std::uint32_t>("marker crc");
   return marker->magic == kCommitMagic &&
-         marker->marker_crc == crc32(bytes.first(28));
+         marker->marker_crc == crc32(bytes.first(crc_offset));
 }
 
 std::vector<std::uint8_t> encode_trailer(
     const std::vector<JournalScan::Entry>& index) {
   std::vector<std::uint8_t> trailer;
   trailer.reserve(index.size() * 20 + 16);
-  auto put_u64 = [&trailer](std::uint64_t v) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-    trailer.insert(trailer.end(), p, p + 8);
-  };
-  auto put_u32 = [&trailer](std::uint32_t v) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-    trailer.insert(trailer.end(), p, p + 4);
-  };
   for (const JournalScan::Entry& entry : index) {
-    put_u64(entry.offset);
-    put_u64(entry.size);
-    put_u32(entry.crc);
+    put(trailer, entry.offset);
+    put(trailer, entry.size);
+    put(trailer, entry.crc);
   }
-  put_u64(index.size());
-  put_u64(kSequenceMagicV2);
+  put(trailer, std::uint64_t{index.size()});
+  put(trailer, kSequenceMagicV2);
   return trailer;
 }
 
@@ -292,12 +274,10 @@ void write_sequence_archive(
     const auto& step = steps[s];
     const std::uint32_t payload_crc = crc32(step);
     index.push_back({bytes.size(), step.size(), payload_crc});
-    bytes.insert(bytes.end(), step.begin(), step.end());
-    const auto marker = encode_marker(s, step.size(), payload_crc);
-    bytes.insert(bytes.end(), marker.begin(), marker.end());
+    put(bytes, step);
+    put(bytes, encode_marker(s, step.size(), payload_crc));
   }
-  const auto trailer = encode_trailer(index);
-  bytes.insert(bytes.end(), trailer.begin(), trailer.end());
+  put(bytes, encode_trailer(index));
   atomic_publish_bytes(path, bytes, "write_sequence_archive", policy);
 }
 
@@ -316,12 +296,12 @@ SequenceReader::SequenceReader(const std::filesystem::path& path,
     index_problem = "file too small for a trailer";
   } else {
     std::uint8_t tail[16];
-    std::uint64_t count = 0, magic = 0;
     if (file_.read_at(file_size - 16, tail, sizeof(tail)) != sizeof(tail)) {
       index_problem = "trailer read came up short";
     } else {
-      std::memcpy(&count, tail, 8);
-      std::memcpy(&magic, tail + 8, 8);
+      ByteReader trailer(tail, ContainerHook{});
+      const auto count = trailer.read<std::uint64_t>("index count");
+      const auto magic = trailer.read<std::uint64_t>("trailer magic");
       // Entry stride by trailer generation: 20 bytes with the CRC column,
       // 16 before it.
       std::size_t stride = 0;
@@ -344,15 +324,14 @@ SequenceReader::SequenceReader(const std::filesystem::path& path,
             index_problem = "index read came up short";
           } else {
             index_.resize(static_cast<std::size_t>(count));
-            const std::uint8_t* p = raw.data();
+            ByteReader in(raw, ContainerHook{});
             for (auto& entry : index_) {
-              std::memcpy(&entry.offset, p, 8);
-              std::memcpy(&entry.size, p + 8, 8);
+              entry.offset = in.read<std::uint64_t>("index offset");
+              entry.size = in.read<std::uint64_t>("index size");
               if (stride == 20) {
-                std::memcpy(&entry.crc, p + 16, 4);
+                entry.crc = in.read<std::uint32_t>("index crc");
                 entry.has_crc = true;
               }
-              p += stride;
             }
             // Every entry must lie inside the data region (overflow-safe).
             for (const StepInfo& entry : index_) {

@@ -1,8 +1,6 @@
 #include "io/store_health.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <set>
@@ -69,15 +67,14 @@ std::string json_escape(std::string_view text) {
 constexpr std::uint32_t kRequestLogMagic = 0x314C5152;  // "RQL1"
 constexpr std::size_t kRequestLogRecordBytes = 4 + 8 + 8 + 4;
 
-std::array<std::uint8_t, kRequestLogRecordBytes> encode_request_record(
-    std::uint64_t token, std::uint64_t step) {
-  std::array<std::uint8_t, kRequestLogRecordBytes> bytes{};
-  std::memcpy(bytes.data(), &kRequestLogMagic, 4);
-  std::memcpy(bytes.data() + 4, &token, 8);
-  std::memcpy(bytes.data() + 12, &step, 8);
-  const std::uint32_t crc =
-      crc32(std::span<const std::uint8_t>(bytes.data(), 20));
-  std::memcpy(bytes.data() + 20, &crc, 4);
+std::vector<std::uint8_t> encode_request_record(std::uint64_t token,
+                                                std::uint64_t step) {
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(kRequestLogRecordBytes);
+  put(bytes, kRequestLogMagic);
+  put(bytes, token);
+  put(bytes, step);
+  put(bytes, crc32(bytes));
   return bytes;
 }
 
@@ -237,19 +234,21 @@ std::vector<RequestLogEntry> scan_request_log(
   std::vector<RequestLogEntry> entries;
   const auto bytes = try_read_bytes(log_path);
   if (!bytes) return entries;
-  std::size_t pos = 0;
-  while (pos + kRequestLogRecordBytes <= bytes->size()) {
-    std::uint32_t magic = 0, stored_crc = 0;
-    std::memcpy(&magic, bytes->data() + pos, 4);
-    std::memcpy(&stored_crc, bytes->data() + pos + 20, 4);
-    const std::uint32_t crc =
-        crc32(std::span<const std::uint8_t>(bytes->data() + pos, 20));
-    if (magic != kRequestLogMagic || crc != stored_crc) break;
+  ByteReader in(*bytes, ContainerHook{});
+  while (in.remaining() >= kRequestLogRecordBytes) {
+    const auto record = in.block(kRequestLogRecordBytes, "request record");
+    ByteReader fields(record, ContainerHook{});
+    const auto magic = fields.read<std::uint32_t>("record magic");
     RequestLogEntry entry;
-    std::memcpy(&entry.token, bytes->data() + pos + 4, 8);
-    std::memcpy(&entry.step, bytes->data() + pos + 12, 8);
+    entry.token = fields.read<std::uint64_t>("record token");
+    entry.step = fields.read<std::uint64_t>("record step");
+    const std::size_t crc_offset = fields.offset();
+    if (magic != kRequestLogMagic ||
+        fields.read<std::uint32_t>("record crc") !=
+            crc32(record.first(crc_offset))) {
+      break;
+    }
     entries.push_back(entry);
-    pos += kRequestLogRecordBytes;
   }
   return entries;
 }

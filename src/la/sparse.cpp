@@ -1,10 +1,38 @@
 #include "la/sparse.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
+#include <utility>
 
 namespace rmp::la {
+
+CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols,
+                     std::vector<std::uint64_t> row_offsets,
+                     std::vector<std::uint32_t> col_indices,
+                     std::vector<double> values)
+    : rows_(rows),
+      cols_(cols),
+      values_(std::move(values)),
+      col_indices_(std::move(col_indices)),
+      row_offsets_(std::move(row_offsets)) {
+  // Compared as size - 1: rows + 1 wraps for rows = 2^64 - 1.
+  if (row_offsets_.empty() || row_offsets_.size() - 1 != rows_) {
+    throw std::invalid_argument("CsrMatrix: want rows + 1 row offsets");
+  }
+  if (col_indices_.size() != values_.size()) {
+    throw std::invalid_argument("CsrMatrix: column and value counts differ");
+  }
+  if (row_offsets_.front() != 0 || row_offsets_.back() != values_.size() ||
+      !std::ranges::is_sorted(row_offsets_)) {
+    throw std::invalid_argument(
+        "CsrMatrix: row offsets must rise from 0 to nnz");
+  }
+  if (std::ranges::any_of(col_indices_,
+                          [this](std::uint32_t j) { return j >= cols_; })) {
+    throw std::invalid_argument("CsrMatrix: column index out of range");
+  }
+}
 
 CsrMatrix CsrMatrix::from_dense(const Matrix& dense, double drop_below) {
   CsrMatrix csr;
@@ -38,57 +66,6 @@ std::size_t CsrMatrix::storage_bytes() const noexcept {
   return values_.size() * sizeof(double) +
          col_indices_.size() * sizeof(std::uint32_t) +
          row_offsets_.size() * sizeof(std::uint64_t);
-}
-
-std::vector<std::uint8_t> CsrMatrix::serialize() const {
-  std::vector<std::uint8_t> out;
-  auto append = [&out](const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    out.insert(out.end(), b, b + n);
-  };
-  const std::uint64_t header[3] = {rows_, cols_, values_.size()};
-  append(header, sizeof(header));
-  append(row_offsets_.data(), row_offsets_.size() * sizeof(std::uint64_t));
-  append(col_indices_.data(), col_indices_.size() * sizeof(std::uint32_t));
-  append(values_.data(), values_.size() * sizeof(double));
-  return out;
-}
-
-CsrMatrix CsrMatrix::deserialize(const std::uint8_t* data, std::size_t size) {
-  auto need = [&](std::size_t offset, std::size_t n) {
-    if (offset + n > size) {
-      throw std::runtime_error("CsrMatrix::deserialize: truncated buffer");
-    }
-  };
-  std::uint64_t header[3];
-  need(0, sizeof(header));
-  std::memcpy(header, data, sizeof(header));
-  CsrMatrix csr;
-  csr.rows_ = header[0];
-  csr.cols_ = header[1];
-  const std::size_t nnz = header[2];
-  std::size_t off = sizeof(header);
-
-  csr.row_offsets_.resize(csr.rows_ + 1);
-  need(off, csr.row_offsets_.size() * sizeof(std::uint64_t));
-  std::memcpy(csr.row_offsets_.data(), data + off,
-              csr.row_offsets_.size() * sizeof(std::uint64_t));
-  off += csr.row_offsets_.size() * sizeof(std::uint64_t);
-
-  csr.col_indices_.resize(nnz);
-  need(off, nnz * sizeof(std::uint32_t));
-  if (nnz > 0) {
-    std::memcpy(csr.col_indices_.data(), data + off,
-                nnz * sizeof(std::uint32_t));
-  }
-  off += nnz * sizeof(std::uint32_t);
-
-  csr.values_.resize(nnz);
-  need(off, nnz * sizeof(double));
-  if (nnz > 0) {
-    std::memcpy(csr.values_.data(), data + off, nnz * sizeof(double));
-  }
-  return csr;
 }
 
 }  // namespace rmp::la

@@ -14,6 +14,13 @@ class CsrMatrix {
  public:
   CsrMatrix() = default;
 
+  /// Adopts CSR arrays after checking what to_dense() indexes with: rows + 1
+  /// row offsets rising from 0 to nnz, and every column index below `cols`.
+  /// Throws std::invalid_argument otherwise.
+  CsrMatrix(std::size_t rows, std::size_t cols,
+            std::vector<std::uint64_t> row_offsets,
+            std::vector<std::uint32_t> col_indices, std::vector<double> values);
+
   /// Build from a dense matrix, keeping entries with |value| > drop_below.
   static CsrMatrix from_dense(const Matrix& dense, double drop_below = 0.0);
 
@@ -34,11 +41,6 @@ class CsrMatrix {
   const std::vector<std::uint64_t>& row_offsets() const noexcept {
     return row_offsets_;
   }
-
-  /// Flat serialization (host byte order) and its inverse; used by the
-  /// container format.
-  std::vector<std::uint8_t> serialize() const;
-  static CsrMatrix deserialize(const std::uint8_t* data, std::size_t size);
 
  private:
   std::size_t rows_ = 0;

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "compress/lossless.hpp"
 #include "core/pipeline.hpp"
 #include "core/serialize.hpp"
 
@@ -112,7 +114,7 @@ TEST_P(DecodeErrors, HostileShapesThrowInsteadOfCrashing) {
   for (const auto& section : complete.sections) {
     const std::string& name = section.name;
     if (name == "v" || name == "u0" || name.rfind("basis", 0) == 0) {
-      expect_throw(name, wrapped, /*typed=*/false);
+      expect_throw(name, wrapped, /*typed=*/true);
     }
   }
   if (GetParam() == "pca-part") expect_throw("meta", no_rows, true);
@@ -173,6 +175,57 @@ INSTANTIATE_TEST_SUITE_P(AllMethods, DecodeErrors,
                            }
                            return name;
                          });
+
+// The wavelet "sparse" section is an LZ-wrapped CSR matrix: rows, cols,
+// nnz (u64 each), rows+1 u64 row offsets, nnz u32 column indices, nnz
+// doubles.  Each patch below is re-wrapped so it passes the LZ layer and
+// reaches the CSR reader; every one must be a typed section error, never
+// a write through a hostile column, a read past the entry arrays or an
+// allocation sized by a hostile count.
+TEST(DecodeErrors, HostileWaveletSparseSectionIsMalformed) {
+  const Codecs codecs = make_codecs("zfp");
+  const auto preconditioner = make_preconditioner("wavelet");
+  const io::Container complete =
+      preconditioner->encode(field3d(), codecs.pair(), nullptr);
+  const auto raw =
+      compress::lossless_decompress(complete.find("sparse")->bytes);
+  std::uint64_t header[3];
+  ASSERT_GE(raw.size(), sizeof(header));
+  std::memcpy(header, raw.data(), sizeof(header));
+  const std::uint64_t rows = header[0];
+  const std::uint64_t nnz = header[2];
+  ASSERT_GT(nnz, 0u);
+  const std::size_t offsets_at = sizeof(header);
+  const std::size_t columns_at = offsets_at + (rows + 1) * 8;
+
+  const auto expect_malformed = [&](std::size_t at, const auto& value,
+                                    const char* what) {
+    auto patched = raw;
+    ASSERT_LE(at + sizeof(value), patched.size()) << what;
+    std::memcpy(patched.data() + at, &value, sizeof(value));
+    io::Container mutated = complete;
+    for (auto& s : mutated.sections) {
+      if (s.name == "sparse") s.bytes = compress::lossless_compress(patched);
+    }
+    try {
+      (void)preconditioner->decode(mutated, codecs.pair(), nullptr);
+      ADD_FAILURE() << what << " decoded";
+    } catch (const io::ContainerError& e) {
+      EXPECT_EQ(e.code(), io::ContainerErrc::kSectionMalformed)
+          << what << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": untyped " << e.what();
+    }
+  };
+  expect_malformed(columns_at, std::uint32_t{1} << 30, "column 2^30");
+  expect_malformed(offsets_at + rows * 8, nnz + 1000, "last offset nnz+1000");
+  expect_malformed(0, std::uint64_t{1} << 40, "rows 2^40");
+  expect_malformed(0, ~std::uint64_t{0}, "rows 2^64-1");
+  // Offsets must start at 0 and never decrease; cols must match the grid.
+  expect_malformed(offsets_at, std::uint64_t{1}, "first offset 1");
+  expect_malformed(offsets_at + 8, nnz + 1, "second offset past nnz");
+  expect_malformed(8, header[1] + 1, "cols off by one");
+}
 
 TEST(DecodeErrors, ReconstructRejectsUnknownMethod) {
   const Codecs codecs = make_codecs("zfp");

@@ -219,24 +219,6 @@ TEST(Sparse, ThresholdDropsSmallEntries) {
   EXPECT_DOUBLE_EQ(csr.to_dense()(1, 1), 0.0);
 }
 
-TEST(Sparse, SerializeRoundTrip) {
-  const Matrix a = random_matrix(9, 11, 14);
-  const CsrMatrix csr = CsrMatrix::from_dense(a, 0.8);
-  const auto bytes = csr.serialize();
-  const CsrMatrix back = CsrMatrix::deserialize(bytes.data(), bytes.size());
-  EXPECT_EQ(back.rows(), csr.rows());
-  EXPECT_EQ(back.cols(), csr.cols());
-  EXPECT_EQ(back.nnz(), csr.nnz());
-  EXPECT_LT(Matrix::max_abs_diff(back.to_dense(), csr.to_dense()), 1e-300);
-}
-
-TEST(Sparse, DeserializeRejectsTruncated) {
-  const CsrMatrix csr = CsrMatrix::from_dense(random_matrix(3, 3, 15), 0.5);
-  const auto bytes = csr.serialize();
-  EXPECT_THROW(CsrMatrix::deserialize(bytes.data(), bytes.size() - 1),
-               std::runtime_error);
-}
-
 TEST(Sparse, StorageBytesAccounting) {
   Matrix a(4, 4);
   a(1, 1) = 2.0;

@@ -8,6 +8,7 @@
 #include "compress/huffman.hpp"
 #include "core/reshape.hpp"
 #include "core/serialize.hpp"
+#include "io/container_error.hpp"
 
 namespace rmp::core {
 namespace {
@@ -19,7 +20,7 @@ TEST(Serialize, DoublesRoundTrip) {
 
 TEST(Serialize, DoublesRejectRaggedBytes) {
   std::vector<std::uint8_t> bytes(13);
-  EXPECT_THROW(bytes_to_doubles(bytes), std::invalid_argument);
+  EXPECT_THROW(bytes_to_doubles(bytes), io::ContainerError);
 }
 
 TEST(Serialize, MatrixRoundTrip) {
@@ -36,9 +37,9 @@ TEST(Serialize, MatrixRoundTrip) {
 TEST(Serialize, MatrixRejectsCorruptHeader) {
   auto bytes = matrix_to_bytes(la::Matrix(2, 2, 1.0));
   bytes.resize(bytes.size() - 8);  // drop one element
-  EXPECT_THROW(bytes_to_matrix(bytes), std::invalid_argument);
+  EXPECT_THROW(bytes_to_matrix(bytes), io::ContainerError);
   EXPECT_THROW(bytes_to_matrix(std::vector<std::uint8_t>(7)),
-               std::invalid_argument);
+               io::ContainerError);
 }
 
 TEST(Serialize, EmptyMatrix) {
@@ -51,7 +52,33 @@ TEST(Serialize, U64RoundTrip) {
   const std::vector<std::uint64_t> values = {0, 1, 0xFFFFFFFFFFFFFFFFULL};
   EXPECT_EQ(bytes_to_u64s(u64s_to_bytes(values)), values);
   EXPECT_THROW(bytes_to_u64s(std::vector<std::uint8_t>(9)),
-               std::invalid_argument);
+               io::ContainerError);
+}
+
+TEST(Sparse, SerializeRoundTrip) {
+  std::mt19937 rng(14);
+  std::normal_distribution<double> dist(0.0, 1.0);
+  la::Matrix a(9, 11);
+  for (double& v : a.flat()) v = dist(rng);
+  const la::CsrMatrix csr = la::CsrMatrix::from_dense(a, 0.8);
+  const la::CsrMatrix back = bytes_to_csr(csr_to_bytes(csr), 9 * 11);
+  EXPECT_EQ(back.rows(), csr.rows());
+  EXPECT_EQ(back.cols(), csr.cols());
+  EXPECT_EQ(back.nnz(), csr.nnz());
+  EXPECT_LT(la::Matrix::max_abs_diff(back.to_dense(), csr.to_dense()), 1e-300);
+}
+
+TEST(Sparse, DeserializeRejectsTruncated) {
+  la::Matrix a(3, 3);
+  a(0, 1) = 2.0;
+  a(2, 2) = -1.0;
+  const auto bytes = csr_to_bytes(la::CsrMatrix::from_dense(a));
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    EXPECT_THROW(bytes_to_csr(std::span(bytes).first(cut), 9),
+                 io::ContainerError)
+        << "cut at " << cut;
+  }
+  EXPECT_THROW(bytes_to_csr(bytes, 8), io::ContainerError);
 }
 
 TEST(Reshape, PrimeLength1dFallsBackToColumnVector) {
