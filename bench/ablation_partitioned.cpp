@@ -5,7 +5,7 @@
 
 #include <chrono>
 
-#include "core/partitioned.hpp"
+#include "core/blocked.hpp"
 #include "core/pca.hpp"
 #include "sim/datasets.hpp"
 
@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
                 result.stats.compression_ratio, result.rmse);
   }
   for (std::size_t partitions : {1u, 2u, 4u, 8u, 16u}) {
-    core::PartitionedPcaPreconditioner preconditioner({partitions, 0.95});
+    core::BlockedPreconditioner preconditioner("pca", partitions);
     const auto result =
         core::run_pipeline(preconditioner, pair.full, zfp.pair());
     std::printf("%-12zu %10.4f %12zu %9.2fx %12.3e\n", partitions,
@@ -42,8 +42,8 @@ int main(int argc, char** argv) {
   // partitioned matrix", §VII).
   std::printf("\n%-16s %10s %12s %10s %12s\n", "blocked method",
               "encode(s)", "reduced(B)", "ratio", "rmse");
-  for (const char* method : {"blocked-pca", "blocked-svd",
-                             "blocked-wavelet", "blocked-tucker"}) {
+  for (const char* method :
+       {"blocked-svd", "blocked-wavelet", "blocked-tucker"}) {
     const auto preconditioner = core::make_preconditioner(method);
     const auto result =
         core::run_pipeline(*preconditioner, pair.full, zfp.pair());

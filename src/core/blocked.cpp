@@ -1,11 +1,11 @@
 #include "core/blocked.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/reshape.hpp"
 #include "core/serialize.hpp"
 #include "io/container_error.hpp"
-#include "la/matrix.hpp"
 #include "obs/obs.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -15,7 +15,8 @@ BlockedPreconditioner::BlockedPreconditioner(const std::string& inner,
                                              std::size_t partitions)
     : inner_name_(inner),
       partitions_(partitions),
-      inner_(make_preconditioner(inner)) {
+      inner_(make_preconditioner(inner)),
+      model_(dynamic_cast<const ReducedModelPreconditioner*>(inner_.get())) {
   if (partitions_ == 0) {
     throw std::invalid_argument("blocked: partitions must be positive");
   }
@@ -25,63 +26,95 @@ BlockedPreconditioner::BlockedPreconditioner(const std::string& inner,
   }
 }
 
+std::string BlockedPreconditioner::name() const {
+  // Blocked PCA keeps the name its archives have always carried.
+  return inner_name_ == "pca" ? "pca-part" : "blocked-" + inner_name_;
+}
+
 io::Container BlockedPreconditioner::encode(const sim::Field& field,
                                             const CodecPair& codecs,
                                             EncodeStats* stats) const {
-  const obs::ScopedSpan span("precondition/blocked");
+  if (model_ == nullptr) {
+    throw std::invalid_argument("blocked: " + inner_name_ +
+                                " has no reduced model to fit per block");
+  }
+  const std::string method = name();
+  const obs::ScopedSpan span("precondition/" + method);
   const auto [rows, cols] = matrix_shape(field);
-  const std::size_t count = std::min(partitions_, rows);
-  const auto blocks = even_split(rows, count);
-  const auto flat = field.flat();
+  const auto blocks = even_split(rows, std::min(partitions_, rows));
+  const auto values = field.flat();
+  std::vector<double> delta(field.size());
 
-  io::Container container;
-  container.method = name();
-  container.nx = field.nx();
-  container.ny = field.ny();
-  container.nz = field.nz();
-
-  // Blocks are independent: encode them on the shared pool, then append
-  // the serialized results in block order so the container layout (and
-  // its bytes) is the same at every thread count.
-  std::vector<std::vector<std::uint8_t>> encoded(count);
-  std::vector<EncodeStats> block_stats(count);
-  parallel::parallel_for(count, [&](std::size_t b) {
-    // Row block as a 2D field: contiguous in the canonical layout.
-    const std::size_t block_rows = blocks[b].end - blocks[b].begin;
-    sim::Field block = sim::Field::from_data(
-        block_rows, cols, 1,
-        std::vector<double>(flat.begin() + blocks[b].begin * cols,
-                            flat.begin() + blocks[b].end * cols));
-    encoded[b] = io::serialize(inner_->encode(block, codecs, &block_stats[b]));
+  // Blocks fit independently on the shared pool, each writing its own
+  // rows of `delta`; their sections and meta are appended in block order
+  // afterwards, so the archive is the same at every thread count.
+  std::vector<ModelFit> fits(blocks.size());
+  parallel::parallel_for(blocks.size(), [&](std::size_t b) {
+    const std::size_t begin = blocks[b].begin * cols;
+    const std::size_t cells = (blocks[b].end - blocks[b].begin) * cols;
+    const sim::Field block = sim::Field::from_data(
+        blocks[b].end - blocks[b].begin, cols, 1,
+        std::vector<double>(values.begin() + begin,
+                            values.begin() + begin + cells));
+    fits[b] = model_->fit(block, codecs,
+                          std::span<double>(delta).subspan(begin, cells));
   });
 
-  std::size_t reduced_bytes = 0, delta_bytes = 0;
-  for (std::size_t b = 0; b < count; ++b) {
-    reduced_bytes += block_stats[b].reduced_bytes;
-    delta_bytes += block_stats[b].delta_bytes;
-    container.add("block" + std::to_string(b), std::move(encoded[b]));
+  std::vector<io::Section> sections;
+  std::vector<std::uint64_t> meta = {blocks.size()};
+  for (std::size_t b = 0; b < fits.size(); ++b) {
+    for (io::Section& section : fits[b].sections) {
+      sections.push_back(
+          {section.name + std::to_string(b), std::move(section.bytes)});
+    }
+    meta.insert(meta.end(), fits[b].meta.begin(), fits[b].meta.end());
   }
-  const std::uint64_t meta[3] = {count, rows, cols};
-  container.add("meta", u64s_to_bytes(meta));
-
-  fill_stats(container, field.size(), stats);
-  if (stats != nullptr) {
-    stats->reduced_bytes = reduced_bytes;
-    stats->delta_bytes = delta_bytes;
-  }
-  return container;
+  return reduced_model_container(method, field, std::move(sections), delta,
+                                 meta, codecs, stats);
 }
 
 sim::Field BlockedPreconditioner::decode(const io::Container& container,
                                          const CodecPair& codecs,
                                          const sim::Field*) const {
-  const obs::ScopedSpan span("blocked");
-  const auto& meta_section = require_section(container, "meta", "blocked");
-  const auto meta = bytes_to_u64s(meta_section.bytes);
-  if (meta.size() != 3) {
-    throw io::ContainerError(io::ContainerErrc::kSectionMalformed,
-                             "blocked decode: meta size mismatch", "meta");
+  if (model_ == nullptr || container.find("block0") != nullptr) {
+    return decode_nested(container, codecs);
   }
+  const std::string method = name();
+  const obs::ScopedSpan span(method);
+  const auto meta =
+      bytes_to_u64s(require_section(container, "meta", method.c_str()).bytes);
+  sim::Field out = decode_delta(container, codecs, method.c_str());
+  // The block count and every block's words are stream-controlled: they
+  // must match the field's row blocks before any block is rebuilt.
+  const auto [rows, cols] =
+      matrix_shape(container.nx, container.ny, container.nz);
+  const std::size_t words = model_->meta_words();
+  if (meta.empty() || meta[0] == 0 || meta[0] > rows ||
+      meta.size() - 1 != meta[0] * words) {
+    throw io::ContainerError(io::ContainerErrc::kSectionMalformed,
+                             method + " decode: block table does not match "
+                                      "the field's row blocks",
+                             "meta");
+  }
+  const auto blocks = even_split(rows, meta[0]);
+
+  // Block row ranges are disjoint, so each task rebuilds its own region
+  // of `out`; decode errors propagate out of parallel_for.
+  parallel::parallel_for(blocks.size(), [&](std::size_t b) {
+    const std::size_t block_rows = blocks[b].end - blocks[b].begin;
+    model_->rebuild(
+        ModelSections(container, std::to_string(b), method.c_str()),
+        std::span(meta).subspan(1 + b * words, words),
+        {block_rows, cols, 1}, codecs,
+        out.flat().subspan(blocks[b].begin * cols, block_rows * cols));
+  });
+  return out;
+}
+
+sim::Field BlockedPreconditioner::decode_nested(
+    const io::Container& container, const CodecPair& codecs) const {
+  const obs::ScopedSpan span("blocked");
+  const auto meta = read_meta(container, 3, "blocked");
   const std::size_t count = meta[0];
   const std::size_t rows = meta[1];
   const std::size_t cols = meta[2];

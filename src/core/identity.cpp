@@ -43,10 +43,11 @@ io::Container IdentityPreconditioner::encode(const sim::Field& field,
 sim::Field IdentityPreconditioner::decode(const io::Container& container,
                                           const CodecPair& codecs,
                                           const sim::Field*) const {
-  const auto& section = require_section(container, "data", "identity");
-  auto values = codecs.reduced->decompress(section.bytes);
-  return sim::Field::from_data(container.nx, container.ny, container.nz,
-                               std::move(values));
+  return sim::Field::from_data(
+      container.nx, container.ny, container.nz,
+      ModelSections(container, "", "identity")
+          .values("data", *codecs.reduced,
+                  {container.nx, container.ny, container.nz}));
 }
 
 io::Container RawPreconditioner::encode(const sim::Field& field,
@@ -79,14 +80,9 @@ sim::Field RawPreconditioner::decode(const io::Container& container,
     throw io::ContainerError(io::ContainerErrc::kSectionMalformed,
                              std::string("raw decode: ") + e.what(), "data");
   }
-  const std::size_t expected = static_cast<std::size_t>(container.nx) *
-                               container.ny * container.nz;
-  if (values.size() != expected) {
-    throw io::ContainerError(
-        io::ContainerErrc::kSectionMalformed,
-        "raw decode: payload cell count disagrees with the header shape",
-        "data");
-  }
+  ModelSections(container, "", "raw")
+      .require_cells("data", {container.nx, container.ny, container.nz},
+                     values.size());
   return sim::Field::from_data(container.nx, container.ny, container.nz,
                                std::move(values));
 }

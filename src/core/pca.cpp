@@ -8,7 +8,6 @@
 #include "core/serialize.hpp"
 #include "la/covariance.hpp"
 #include "la/eigen.hpp"
-#include "obs/obs.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace rmp::core {
@@ -130,26 +129,26 @@ void combine_pca_reconstruction(std::span<const double> from,
                                 kMinCellsPerTask / std::max<std::size_t>(n, 1));
 }
 
-PcaPreconditioner::PcaPreconditioner(PcaOptions options) : options_(options) {
+PcaPreconditioner::PcaPreconditioner(PcaOptions options)
+    : ReducedModelPreconditioner(2), options_(options) {
   if (options_.variance_target <= 0.0 || options_.variance_target > 1.0) {
     throw std::invalid_argument("pca: variance_target must be in (0, 1]");
   }
 }
 
-io::Container PcaPreconditioner::encode(const sim::Field& field,
-                                        const CodecPair& codecs,
-                                        EncodeStats* stats) const {
-  const obs::ScopedSpan span("precondition/pca");
-  const PcaFit fit =
+ModelFit PcaPreconditioner::fit(const sim::Field& field,
+                               const CodecPair& codecs,
+                               std::span<double> delta) const {
+  const PcaFit model =
       pca_fit(as_matrix(field), options_.variance_target, options_.jacobi);
-  if (!fit.converged) {
+  if (!model.converged) {
     throw PreconditionError(
         PrecondErrc::kEigenNonConvergence,
         "pca: covariance eigendecomposition left off-diagonal residual " +
-            std::to_string(fit.off_diagonal_residual) + " after " +
+            std::to_string(model.off_diagonal_residual) + " after " +
             std::to_string(options_.jacobi.max_sweeps) + " sweep(s)");
   }
-  const la::Matrix& scores = fit.scores;
+  const la::Matrix& scores = model.scores;
 
   auto scores_bytes =
       traced_compress(*codecs.reduced, "reduced-compress", scores.flat(),
@@ -162,42 +161,32 @@ io::Container PcaPreconditioner::encode(const sim::Field& field,
           ? la::Matrix(scores.rows(), scores.cols(),
                        codecs.reduced->decompress(scores_bytes))
           : la::Matrix();
-  std::vector<double> delta(field.size());
   combine_pca_reconstruction(
       field.flat(), delta,
-      options_.delta_against_decoded ? decoded_scores : scores, fit.basis,
-      fit.means, Combine::kSubtract);
+      options_.delta_against_decoded ? decoded_scores : scores, model.basis,
+      model.means, Combine::kSubtract);
 
-  const std::uint64_t meta[2] = {fit.basis.cols(), scores.rows()};
-  return reduced_model_container(
-      name(), field,
-      {{"scores", std::move(scores_bytes)},
-       {"basis", matrix_to_bytes(fit.basis)},
-       {"means", doubles_to_bytes(fit.means)}},
-      delta, meta, codecs, stats);
+  return {{{"scores", std::move(scores_bytes)},
+           {"basis", matrix_to_bytes(model.basis)},
+           {"means", doubles_to_bytes(model.means)}},
+          {model.basis.cols(), scores.rows()}};
 }
 
-sim::Field PcaPreconditioner::decode(const io::Container& container,
-                                     const CodecPair& codecs,
-                                     const sim::Field*) const {
-  const obs::ScopedSpan span("pca");
-  const auto& scores_section = require_section(container, "scores", "pca");
-  const auto& basis_section = require_section(container, "basis", "pca");
-  const auto& means_section = require_section(container, "means", "pca");
-  const auto& meta_section = require_section(container, "meta", "pca");
-  const auto meta = bytes_to_u64s(meta_section.bytes);
-  const std::size_t k = meta.at(0);
-  const std::size_t m = meta.at(1);
-
-  sim::Field out = decode_delta(container, codecs, "pca");
+void PcaPreconditioner::rebuild(const ModelSections& sections,
+                                std::span<const std::uint64_t> meta,
+                                const compress::Dims&, const CodecPair& codecs,
+                                std::span<double> out) const {
+  const std::uint64_t k = meta[0];
+  const std::uint64_t m = meta[1];
   const la::Matrix scores(m, k,
-                          codecs.reduced->decompress(scores_section.bytes));
-  const la::Matrix basis = bytes_to_matrix(basis_section.bytes);
-  const std::vector<double> means = bytes_to_doubles(means_section.bytes);
-  check_reconstruction_cells(out, la::checked_cells(m, basis.rows()), "pca");
-  combine_pca_reconstruction(out.flat(), out.flat(), scores, basis, means,
-                             Combine::kAdd);
-  return out;
+                          sections.values("scores", *codecs.reduced, {m, k}));
+  const la::Matrix basis = bytes_to_matrix(sections["basis"]);
+  const std::vector<double> means = bytes_to_doubles(sections["means"]);
+  if (basis.cols() != k || means.size() != basis.rows()) {
+    sections.malformed("basis", "basis, scores and means disagree");
+  }
+  sections.require_cells("basis", {m, basis.rows()}, out.size());
+  combine_pca_reconstruction(out, out, scores, basis, means, Combine::kAdd);
 }
 
 }  // namespace rmp::core

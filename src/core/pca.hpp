@@ -33,16 +33,18 @@ struct PcaOptions {
   la::JacobiOptions jacobi = {};
 };
 
-class PcaPreconditioner final : public Preconditioner {
+/// meta = {k, m}: the scores' shape.
+class PcaPreconditioner final : public ReducedModelPreconditioner {
  public:
   explicit PcaPreconditioner(PcaOptions options = {});
 
   std::string name() const override { return "pca"; }
 
-  io::Container encode(const sim::Field& field, const CodecPair& codecs,
-                       EncodeStats* stats) const override;
-  sim::Field decode(const io::Container& container, const CodecPair& codecs,
-                    const sim::Field* external_reduced) const override;
+  ModelFit fit(const sim::Field& field, const CodecPair& codecs,
+               std::span<double> delta) const override;
+  void rebuild(const ModelSections& sections,
+               std::span<const std::uint64_t> meta, const compress::Dims& dims,
+               const CodecPair& codecs, std::span<double> out) const override;
 
   const PcaOptions& options() const noexcept { return options_; }
 

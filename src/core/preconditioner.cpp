@@ -4,13 +4,11 @@
 
 #include "compress/factory.hpp"
 #include "io/container_error.hpp"
-#include "la/matrix.hpp"
 #include "obs/obs.hpp"
 
 #include "core/blocked.hpp"
 #include "core/cascade.hpp"
 #include "core/identity.hpp"
-#include "core/partitioned.hpp"
 #include "core/pca.hpp"
 #include "core/projection.hpp"
 #include "core/serialize.hpp"
@@ -34,10 +32,12 @@ Codecs make_codecs(const std::string& name) {
 std::unique_ptr<Preconditioner> make_preconditioner(const std::string& name) {
   // "first>second" composes two stages (core/cascade.hpp).
   if (name.find('>') != std::string::npos) return make_cascade(name);
-  // "blocked-<inner>" partitions the canonical matrix (core/blocked.hpp).
+  // "blocked-<inner>" partitions the canonical matrix (core/blocked.hpp);
+  // blocked PCA is stored as "pca-part".
   if (name.rfind("blocked-", 0) == 0) {
     return std::make_unique<BlockedPreconditioner>(name.substr(8));
   }
+  if (name == "pca-part") return std::make_unique<BlockedPreconditioner>("pca");
   if (name == "identity") return std::make_unique<IdentityPreconditioner>();
   if (name == "raw") return std::make_unique<RawPreconditioner>();
   if (name == "one-base") return std::make_unique<OneBasePreconditioner>();
@@ -46,9 +46,6 @@ std::unique_ptr<Preconditioner> make_preconditioner(const std::string& name) {
   if (name == "pca") return std::make_unique<PcaPreconditioner>();
   if (name == "svd") return std::make_unique<SvdPreconditioner>();
   if (name == "wavelet") return std::make_unique<WaveletPreconditioner>();
-  if (name == "pca-part") {
-    return std::make_unique<PartitionedPcaPreconditioner>();
-  }
   if (name == "tucker") return std::make_unique<TuckerPreconditioner>();
   throw std::invalid_argument("make_preconditioner: unknown name " + name);
 }
@@ -128,13 +125,14 @@ io::Container reduced_model_container(const std::string& method,
   return container;
 }
 
-void delta_in_place(const sim::Field& field, std::span<double> values) {
-  const auto original = field.flat();
-  if (values.size() != original.size()) {
-    throw std::logic_error("delta_in_place: reconstruction size mismatch");
+void write_delta(std::span<const double> field,
+                 std::span<const double> reconstruction,
+                 std::span<double> delta) {
+  if (reconstruction.size() != field.size() || delta.size() != field.size()) {
+    throw std::logic_error("write_delta: reconstruction size mismatch");
   }
-  for (std::size_t n = 0; n < values.size(); ++n) {
-    values[n] = original[n] - values[n];
+  for (std::size_t n = 0; n < delta.size(); ++n) {
+    delta[n] = field[n] - reconstruction[n];
   }
 }
 
@@ -142,39 +140,93 @@ sim::Field decode_delta(const io::Container& container,
                         const CodecPair& codecs, const char* decoder) {
   const io::Section& section = require_section(container, "delta", decoder);
   std::vector<double> values = codecs.delta->decompress(section.bytes);
-  const std::size_t cells = la::checked_cells(
-      la::checked_cells(container.nx, container.ny), container.nz);
-  if (values.size() != cells) {
-    throw io::ContainerError(io::ContainerErrc::kSectionMalformed,
-                             std::string(decoder) + " decode: delta holds " +
-                                 std::to_string(values.size()) +
-                                 " cells, the header " +
-                                 std::to_string(cells),
-                             "delta");
-  }
+  ModelSections(container, "", decoder)
+      .require_cells("delta", {container.nx, container.ny, container.nz},
+                     values.size());
   return sim::Field::from_data(container.nx, container.ny, container.nz,
                                std::move(values));
 }
 
-void check_reconstruction_cells(const sim::Field& out, std::size_t cells,
-                                const char* decoder) {
-  if (cells != out.size()) {
-    throw io::ContainerError(
-        io::ContainerErrc::kSectionMalformed,
-        std::string(decoder) + " decode: reduced model rebuilds " +
-            std::to_string(cells) + " cells, the header " +
-            std::to_string(out.size()));
+std::vector<std::uint64_t> read_meta(const io::Container& container,
+                                     std::size_t words, const char* decoder) {
+  auto meta = bytes_to_u64s(require_section(container, "meta", decoder).bytes);
+  if (meta.size() != words) {
+    throw io::ContainerError(io::ContainerErrc::kSectionMalformed,
+                             std::string(decoder) + " decode: meta holds " +
+                                 std::to_string(meta.size()) + " words, not " +
+                                 std::to_string(words),
+                             "meta");
+  }
+  return meta;
+}
+
+void add_reconstruction(std::span<double> out,
+                        std::span<const double> reconstruction) {
+  if (reconstruction.size() != out.size()) {
+    throw std::logic_error("add_reconstruction: reconstruction size mismatch");
+  }
+  for (std::size_t n = 0; n < out.size(); ++n) out[n] += reconstruction[n];
+}
+
+std::span<const std::uint8_t> ModelSections::operator[](
+    const std::string& name) const {
+  return require_section(container_, name + suffix_, decoder_).bytes;
+}
+
+void ModelSections::malformed(const std::string& name,
+                              const std::string& what) const {
+  throw io::ContainerError(io::ContainerErrc::kSectionMalformed,
+                           std::string(decoder_) + " decode: " + what,
+                           name + suffix_);
+}
+
+void ModelSections::require_cells(const std::string& name,
+                                  std::initializer_list<std::uint64_t> shape,
+                                  std::size_t cells) const {
+  std::size_t product = 1;
+  for (const std::uint64_t extent : shape) {
+    if (__builtin_mul_overflow(product, extent, &product)) {
+      malformed(name, "shape overflows");
+    }
+  }
+  if (product != cells) {
+    malformed(name, "shape holds " + std::to_string(product) +
+                        " cells, not " + std::to_string(cells));
   }
 }
 
-void add_reconstruction(sim::Field& out,
-                        std::span<const double> reconstruction,
-                        const char* decoder) {
-  check_reconstruction_cells(out, reconstruction.size(), decoder);
-  const auto values = out.flat();
-  for (std::size_t n = 0; n < values.size(); ++n) {
-    values[n] += reconstruction[n];
+std::vector<double> ModelSections::values(
+    const std::string& name, const compress::Compressor& codec,
+    std::initializer_list<std::uint64_t> shape) const {
+  std::vector<double> values = codec.decompress((*this)[name]);
+  require_cells(name, shape, values.size());
+  return values;
+}
+
+io::Container ReducedModelPreconditioner::encode(const sim::Field& field,
+                                                 const CodecPair& codecs,
+                                                 EncodeStats* stats) const {
+  const std::string method = name();
+  const obs::ScopedSpan span("precondition/" + method);
+  std::vector<double> delta(field.size());
+  ModelFit model = fit(field, codecs, delta);
+  return reduced_model_container(method, field, std::move(model.sections),
+                                 delta, model.meta, codecs, stats);
+}
+
+sim::Field ReducedModelPreconditioner::decode(const io::Container& container,
+                                              const CodecPair& codecs,
+                                              const sim::Field*) const {
+  const std::string method = name();
+  const obs::ScopedSpan span(method);
+  std::vector<std::uint64_t> meta;
+  if (!meta_advisory_ || container.find("meta") != nullptr) {
+    meta = read_meta(container, meta_words_, method.c_str());
   }
+  sim::Field out = decode_delta(container, codecs, method.c_str());
+  rebuild(ModelSections(container, "", method.c_str()), meta,
+          {container.nx, container.ny, container.nz}, codecs, out.flat());
+  return out;
 }
 
 }  // namespace rmp::core

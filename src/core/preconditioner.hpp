@@ -10,9 +10,11 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "compress/compressor.hpp"
@@ -76,7 +78,7 @@ std::unique_ptr<Preconditioner> make_preconditioner(const std::string& name);
 
 /// Names of every built-in preconditioner, in evaluation order:
 /// identity, raw (lossless guard terminal), one-base, multi-base,
-/// duomodel, pca, svd, wavelet, pca-part, tucker.
+/// duomodel, pca, svd, wavelet, pca-part (blocked PCA), tucker.
 const std::vector<std::string>& preconditioner_names();
 
 /// Fill `stats` from a finished container (helper for implementations).
@@ -95,27 +97,105 @@ io::Container reduced_model_container(const std::string& method,
                                       const CodecPair& codecs,
                                       EncodeStats* stats);
 
-/// Turn a reconstruction of `field` into the delta, in place:
-/// values[n] = field[n] - values[n].
-void delta_in_place(const sim::Field& field, std::span<double> values);
-
 /// Decode the "delta" section as a field of the container's shape.  A
-/// stream holding anything but nx*ny*nz cells raises
-/// io::ContainerError(kSectionMalformed, "delta").
+/// stream holding anything but nx*ny*nz cells (or a shape whose product
+/// overflows) raises io::ContainerError(kSectionMalformed, "delta").
 sim::Field decode_delta(const io::Container& container,
                         const CodecPair& codecs, const char* decoder);
 
-/// out[n] += reconstruction[n]; a reconstruction of any other length than
-/// `out` raises io::ContainerError(kSectionMalformed).
-void add_reconstruction(sim::Field& out,
-                        std::span<const double> reconstruction,
-                        const char* decoder);
+/// The "meta" section as exactly `words` u64s; an absent section is
+/// kMissingSection, any other length kSectionMalformed on "meta".
+std::vector<std::uint64_t> read_meta(const io::Container& container,
+                                     std::size_t words, const char* decoder);
 
-/// The check add_reconstruction makes, for decoders that rebuild in
-/// place: a reduced model of `cells` cells that is not `out`'s size raises
-/// io::ContainerError(kSectionMalformed).
-void check_reconstruction_cells(const sim::Field& out, std::size_t cells,
-                                const char* decoder);
+/// delta[n] = field[n] - reconstruction[n] (a fit's delta) and
+/// out[n] += reconstruction[n] (a rebuild).  The spans must have one
+/// length: callers check stream-controlled shapes first.
+void write_delta(std::span<const double> field,
+                 std::span<const double> reconstruction,
+                 std::span<double> delta);
+void add_reconstruction(std::span<double> out,
+                        std::span<const double> reconstruction);
+
+/// The sections one reduced model reads back.  A whole-field archive
+/// stores them under the model's own names; the blocked layout
+/// (core/blocked.hpp) stores block b's as "<name><b>".  Lookups add that
+/// suffix, and every error names the section as stored.
+class ModelSections {
+ public:
+  ModelSections(const io::Container& container, std::string suffix,
+                const char* decoder)
+      : container_(container), suffix_(std::move(suffix)), decoder_(decoder) {}
+
+  /// The section's bytes; an absent section is kMissingSection.
+  std::span<const std::uint8_t> operator[](const std::string& name) const;
+
+  /// `name` decompressed by `codec`, holding exactly the product of
+  /// `shape` values (checked before the caller shapes them).
+  std::vector<double> values(const std::string& name,
+                             const compress::Compressor& codec,
+                             std::initializer_list<std::uint64_t> shape) const;
+
+  /// Require the product of `shape` to be `cells` without overflowing.
+  void require_cells(const std::string& name,
+                     std::initializer_list<std::uint64_t> shape,
+                     std::size_t cells) const;
+
+  /// Throw io::ContainerError(kSectionMalformed) naming section `name`.
+  [[noreturn]] void malformed(const std::string& name,
+                              const std::string& what) const;
+
+ private:
+  const io::Container& container_;
+  std::string suffix_;
+  const char* decoder_;
+};
+
+/// What a reduced model's fit stores: its sections in archive order and
+/// its meta words.
+struct ModelFit {
+  std::vector<io::Section> sections;
+  std::vector<std::uint64_t> meta;
+};
+
+/// A preconditioner that is one reduced model (Fig. 5).  Each method
+/// writes only its fit and its rebuild; encode() and decode() are the
+/// shared plumbing: the spans, the container with its delta, the delta
+/// decode and a checked read of the model's meta words.  The blocked
+/// wrapper (core/blocked.hpp) runs the same two functions per row block.
+class ReducedModelPreconditioner : public Preconditioner {
+ public:
+  io::Container encode(const sim::Field& field, const CodecPair& codecs,
+                       EncodeStats* stats) const final;
+  sim::Field decode(const io::Container& container, const CodecPair& codecs,
+                    const sim::Field* external_reduced) const final;
+
+  /// Fit the reduced model of `field`: return its sections and exactly
+  /// meta_words() meta words, and write field - reconstruction into
+  /// `delta` (field.size() cells).
+  virtual ModelFit fit(const sim::Field& field, const CodecPair& codecs,
+                       std::span<double> delta) const = 0;
+
+  /// Add the reconstruction of the `dims`-shaped field the fit saw into
+  /// `out` (dims.count() cells) in place.  `meta` is the fit's words, or
+  /// empty when advisory meta is absent.  Damage is io::ContainerError.
+  virtual void rebuild(const ModelSections& sections,
+                       std::span<const std::uint64_t> meta,
+                       const compress::Dims& dims, const CodecPair& codecs,
+                       std::span<double> out) const = 0;
+
+  std::size_t meta_words() const noexcept { return meta_words_; }
+
+ protected:
+  /// `meta_advisory`: decode works without the "meta" section.
+  explicit ReducedModelPreconditioner(std::size_t meta_words,
+                                      bool meta_advisory = false)
+      : meta_words_(meta_words), meta_advisory_(meta_advisory) {}
+
+ private:
+  std::size_t meta_words_;
+  bool meta_advisory_;
+};
 
 /// Fetch a required section or throw io::ContainerError(kMissingSection)
 /// naming both the decoder and the absent section (helper for decoders).

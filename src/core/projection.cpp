@@ -39,91 +39,81 @@ void for_x_ranges(std::size_t nx, std::size_t total_elements,
 // ---------------------------------------------------------------------------
 // OneBase
 
-io::Container OneBasePreconditioner::encode(const sim::Field& field,
-                                            const CodecPair& codecs,
-                                            EncodeStats* stats) const {
-  const obs::ScopedSpan span("precondition/one-base");
+ModelFit OneBasePreconditioner::fit(const sim::Field& field,
+                                    const CodecPair& codecs,
+                                    std::span<double> delta) const {
   require_3d(field, "one-base");
-  const std::size_t mid = field.nz() / 2;
+  const std::size_t ny = field.ny();
+  const std::size_t nz = field.nz();
+  const std::size_t mid = nz / 2;
   const sim::Field plane = extract_z_plane(field, mid);
 
   // Algorithm 1: every plane's delta against the (broadcast) mid-plane.
   // X-ranges write disjoint regions of `delta`, so they fan out onto the
   // shared pool.
-  sim::Field delta(field.nx(), field.ny(), field.nz());
   for_x_ranges(
       field.nx(), field.size(), [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-          for (std::size_t j = 0; j < field.ny(); ++j) {
+          for (std::size_t j = 0; j < ny; ++j) {
             const double base = plane.at(i, j);
-            for (std::size_t k = 0; k < field.nz(); ++k) {
-              delta.at(i, j, k) = field.at(i, j, k) - base;
+            for (std::size_t k = 0; k < nz; ++k) {
+              delta[(i * ny + j) * nz + k] = field.at(i, j, k) - base;
             }
           }
         }
       });
 
-  const std::uint64_t meta[1] = {mid};
-  return reduced_model_container(
-      name(), field,
-      {{"reduced", traced_compress(*codecs.reduced, "reduced-compress",
-                                   plane.flat(),
-                                   dims3(field.nx(), field.ny(), 1))}},
-      delta.flat(), meta, codecs, stats);
+  return {{{"reduced", traced_compress(*codecs.reduced, "reduced-compress",
+                                       plane.flat(),
+                                       dims3(field.nx(), ny, 1))}},
+          {mid}};
 }
 
-sim::Field OneBasePreconditioner::decode(const io::Container& container,
-                                         const CodecPair& codecs,
-                                         const sim::Field*) const {
-  const obs::ScopedSpan span("one-base");
-  const auto& reduced = require_section(container, "reduced", "one-base");
-  const auto plane_values = codecs.reduced->decompress(reduced.bytes);
-  sim::Field out = decode_delta(container, codecs, "one-base");
-  if (plane_values.size() != container.nx * container.ny) {
-    throw io::ContainerError(io::ContainerErrc::kSectionMalformed,
-                             "one-base decode: reduced plane size mismatch",
-                             "reduced");
-  }
+void OneBasePreconditioner::rebuild(const ModelSections& sections,
+                                    std::span<const std::uint64_t>,
+                                    const compress::Dims& dims,
+                                    const CodecPair& codecs,
+                                    std::span<double> out) const {
+  const auto plane_values =
+      sections.values("reduced", *codecs.reduced, {dims.nx, dims.ny});
 
   // Add the broadcast mid-plane into the decoded delta in place.
-  for_x_ranges(
-      container.nx, out.size(), [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          for (std::size_t j = 0; j < container.ny; ++j) {
-            const double base = plane_values[i * container.ny + j];
-            for (std::size_t k = 0; k < container.nz; ++k) {
-              out.at(i, j, k) += base;
-            }
-          }
-        }
-      });
-  return out;
+  for_x_ranges(dims.nx, out.size(), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      for (std::size_t j = 0; j < dims.ny; ++j) {
+        const double base = plane_values[i * dims.ny + j];
+        double* row = out.data() + (i * dims.ny + j) * dims.nz;
+        for (std::size_t k = 0; k < dims.nz; ++k) row[k] += base;
+      }
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------
 // MultiBase
 
 MultiBasePreconditioner::MultiBasePreconditioner(std::size_t slabs)
-    : slabs_(slabs) {
+    : ReducedModelPreconditioner(1), slabs_(slabs) {
   if (slabs_ == 0) {
     throw std::invalid_argument("multi-base: slab count must be positive");
   }
 }
 
-io::Container MultiBasePreconditioner::encode(const sim::Field& field,
-                                              const CodecPair& codecs,
-                                              EncodeStats* stats) const {
-  const obs::ScopedSpan span("precondition/multi-base");
+ModelFit MultiBasePreconditioner::fit(const sim::Field& field,
+                                      const CodecPair& codecs,
+                                      std::span<double> delta) const {
   require_3d(field, "multi-base");
-  const std::size_t count = std::min(slabs_, field.nz());
-  const auto slabs = even_split(field.nz(), count);
+  const std::size_t ny = field.ny();
+  const std::size_t nz = field.nz();
+  const std::size_t count = std::min(slabs_, nz);
+  const auto slabs = even_split(nz, count);
 
   // Reduced model: the stack of per-slab mid-planes, an (nx, ny, count)
   // field -- no broadcast needed, each sub-domain is self-contained.
-  sim::Field planes(field.nx(), field.ny(), count);
+  sim::Field planes(field.nx(), ny, count);
   for (std::size_t s = 0; s < count; ++s) {
     for (std::size_t i = 0; i < field.nx(); ++i) {
-      for (std::size_t j = 0; j < field.ny(); ++j) {
+      for (std::size_t j = 0; j < ny; ++j) {
         planes.at(i, j, s) =
             field.at(i, j, (slabs[s].begin + slabs[s].end) / 2);
       }
@@ -132,71 +122,57 @@ io::Container MultiBasePreconditioner::encode(const sim::Field& field,
 
   // X is the outer parallel axis (disjoint writes per i); each task walks
   // all slabs for its rows, which keeps the (i, j) plane lookups local.
-  sim::Field delta(field.nx(), field.ny(), field.nz());
   for_x_ranges(
       field.nx(), field.size(), [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           for (std::size_t s = 0; s < count; ++s) {
-            for (std::size_t j = 0; j < field.ny(); ++j) {
+            for (std::size_t j = 0; j < ny; ++j) {
               const double base = planes.at(i, j, s);
               for (std::size_t k = slabs[s].begin; k < slabs[s].end; ++k) {
-                delta.at(i, j, k) = field.at(i, j, k) - base;
+                delta[(i * ny + j) * nz + k] = field.at(i, j, k) - base;
               }
             }
           }
         }
       });
 
-  const std::uint64_t meta[1] = {count};
-  return reduced_model_container(
-      name(), field,
-      {{"reduced", traced_compress(*codecs.reduced, "reduced-compress",
-                                   planes.flat(),
-                                   dims3(field.nx(), field.ny(), count))}},
-      delta.flat(), meta, codecs, stats);
+  return {{{"reduced", traced_compress(*codecs.reduced, "reduced-compress",
+                                       planes.flat(),
+                                       dims3(field.nx(), ny, count))}},
+          {count}};
 }
 
-sim::Field MultiBasePreconditioner::decode(const io::Container& container,
-                                           const CodecPair& codecs,
-                                           const sim::Field*) const {
-  const obs::ScopedSpan span("multi-base");
-  const auto& reduced = require_section(container, "reduced", "multi-base");
-  const auto& meta = require_section(container, "meta", "multi-base");
-  const auto meta_values = bytes_to_u64s(meta.bytes);
-  const std::size_t count = meta_values.at(0);
+void MultiBasePreconditioner::rebuild(const ModelSections& sections,
+                                      std::span<const std::uint64_t> meta,
+                                      const compress::Dims& dims,
+                                      const CodecPair& codecs,
+                                      std::span<double> out) const {
+  const std::size_t count = meta[0];
   // The slab count is stream-controlled: check it before it sizes
   // anything.
-  if (count == 0 || count > container.nz) {
+  if (count == 0 || count > dims.nz) {
     throw io::ContainerError(io::ContainerErrc::kSectionMalformed,
                              "multi-base decode: slab count outside [1, nz]",
                              "meta");
   }
-  const auto slabs = even_split(container.nz, count);
-
-  const auto plane_values = codecs.reduced->decompress(reduced.bytes);
-  sim::Field out = decode_delta(container, codecs, "multi-base");
-  if (plane_values.size() != container.nx * container.ny * count) {
-    throw io::ContainerError(io::ContainerErrc::kSectionMalformed,
-                             "multi-base decode: reduced size mismatch",
-                             "reduced");
-  }
+  const auto slabs = even_split(dims.nz, count);
+  const auto plane_values =
+      sections.values("reduced", *codecs.reduced, {dims.nx, dims.ny, count});
 
   // Add each slab's mid-plane into the decoded delta in place.
-  for_x_ranges(
-      container.nx, out.size(), [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          for (std::size_t s = 0; s < count; ++s) {
-            for (std::size_t j = 0; j < container.ny; ++j) {
-              const double base =
-                  plane_values[(i * container.ny + j) * count + s];
-              for (std::size_t k = slabs[s].begin; k < slabs[s].end; ++k) {
-                out.at(i, j, k) += base;
-              }
-            }
+  for_x_ranges(dims.nx, out.size(), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      for (std::size_t s = 0; s < count; ++s) {
+        for (std::size_t j = 0; j < dims.ny; ++j) {
+          const double base = plane_values[(i * dims.ny + j) * count + s];
+          double* row = out.data() + (i * dims.ny + j) * dims.nz;
+          for (std::size_t k = slabs[s].begin; k < slabs[s].end; ++k) {
+            row[k] += base;
           }
         }
-      });
-  return out;
+      }
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -261,20 +237,19 @@ sim::Field DuoModelPreconditioner::decode(
     const io::Container& container, const CodecPair& codecs,
     const sim::Field* external_reduced) const {
   const obs::ScopedSpan span("duomodel");
-  const auto& meta = require_section(container, "meta", "duomodel");
-  const auto meta_values = bytes_to_u64s(meta.bytes);
-  const std::size_t rnx = meta_values.at(0);
-  const std::size_t rny = meta_values.at(1);
-  const std::size_t rnz = meta_values.at(2);
-  const bool stored = meta_values.at(4) != 0;
+  const auto meta = read_meta(container, 5, "duomodel");
+  const std::size_t rnx = meta[0];
+  const std::size_t rny = meta[1];
+  const std::size_t rnz = meta[2];
+  const bool stored = meta[4] != 0;
   sim::Field out = decode_delta(container, codecs, "duomodel");
 
   sim::Field reduced;
   if (stored) {
-    const auto& reduced_section =
-        require_section(container, "reduced", "duomodel");
     reduced = sim::Field::from_data(
-        rnx, rny, rnz, codecs.reduced->decompress(reduced_section.bytes));
+        rnx, rny, rnz,
+        ModelSections(container, "", "duomodel")
+            .values("reduced", *codecs.reduced, {rnx, rny, rnz}));
   } else {
     // True DuoModel: the light simulation is re-run; the caller supplies
     // its output.
@@ -293,7 +268,7 @@ sim::Field DuoModelPreconditioner::decode(
 
   const sim::Field reconstruction =
       upsample_linear(reduced, container.nx, container.ny, container.nz);
-  add_reconstruction(out, reconstruction.flat(), "duomodel");
+  add_reconstruction(out.flat(), reconstruction.flat());
   return out;
 }
 

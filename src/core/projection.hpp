@@ -22,27 +22,33 @@
 
 namespace rmp::core {
 
-class OneBasePreconditioner final : public Preconditioner {
+/// meta = {mid-plane index}, advisory: decode needs only the plane.
+class OneBasePreconditioner final : public ReducedModelPreconditioner {
  public:
+  OneBasePreconditioner() : ReducedModelPreconditioner(1, true) {}
+
   std::string name() const override { return "one-base"; }
 
-  io::Container encode(const sim::Field& field, const CodecPair& codecs,
-                       EncodeStats* stats) const override;
-  sim::Field decode(const io::Container& container, const CodecPair& codecs,
-                    const sim::Field* external_reduced) const override;
+  ModelFit fit(const sim::Field& field, const CodecPair& codecs,
+               std::span<double> delta) const override;
+  void rebuild(const ModelSections& sections,
+               std::span<const std::uint64_t> meta, const compress::Dims& dims,
+               const CodecPair& codecs, std::span<double> out) const override;
 };
 
-class MultiBasePreconditioner final : public Preconditioner {
+/// meta = {slab count}.
+class MultiBasePreconditioner final : public ReducedModelPreconditioner {
  public:
   /// `slabs` = number of Z sub-domains, each with a local mid-plane.
   explicit MultiBasePreconditioner(std::size_t slabs = 4);
 
   std::string name() const override { return "multi-base"; }
 
-  io::Container encode(const sim::Field& field, const CodecPair& codecs,
-                       EncodeStats* stats) const override;
-  sim::Field decode(const io::Container& container, const CodecPair& codecs,
-                    const sim::Field* external_reduced) const override;
+  ModelFit fit(const sim::Field& field, const CodecPair& codecs,
+               std::span<double> delta) const override;
+  void rebuild(const ModelSections& sections,
+               std::span<const std::uint64_t> meta, const compress::Dims& dims,
+               const CodecPair& codecs, std::span<double> out) const override;
 
  private:
   std::size_t slabs_;

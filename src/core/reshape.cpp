@@ -12,15 +12,16 @@ std::pair<std::size_t, std::size_t> near_square_factors(std::size_t count) {
   return {count / n, n};  // m >= n
 }
 
+std::pair<std::size_t, std::size_t> matrix_shape(std::size_t nx,
+                                                 std::size_t ny,
+                                                 std::size_t nz) {
+  if (nz > 1) return {nx * ny, nz};  // the sim::Field::rank() rule
+  if (ny > 1) return {nx, ny};
+  return near_square_factors(nx * ny * nz);
+}
+
 std::pair<std::size_t, std::size_t> matrix_shape(const sim::Field& field) {
-  switch (field.rank()) {
-    case 3:
-      return {field.nx() * field.ny(), field.nz()};
-    case 2:
-      return {field.nx(), field.ny()};
-    default:
-      return near_square_factors(field.size());
-  }
+  return matrix_shape(field.nx(), field.ny(), field.nz());
 }
 
 la::Matrix as_matrix(const sim::Field& field) {

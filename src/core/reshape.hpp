@@ -16,8 +16,11 @@
 
 namespace rmp::core {
 
-/// Matrix shape a field will be viewed as.
+/// Matrix shape a field (or a field of shape nx x ny x nz) is viewed as.
 std::pair<std::size_t, std::size_t> matrix_shape(const sim::Field& field);
+std::pair<std::size_t, std::size_t> matrix_shape(std::size_t nx,
+                                                 std::size_t ny,
+                                                 std::size_t nz);
 
 /// Most nearly square factorization m x n = count with m >= n.
 std::pair<std::size_t, std::size_t> near_square_factors(std::size_t count);

@@ -8,7 +8,6 @@
 #include "core/reshape.hpp"
 #include "core/serialize.hpp"
 #include "la/svd.hpp"
-#include "obs/obs.hpp"
 
 namespace rmp::core {
 namespace {
@@ -32,18 +31,16 @@ std::vector<double> svd_singular_proportions(const sim::Field& field) {
 }
 
 SvdPreconditioner::SvdPreconditioner(SvdOptionsPre options)
-    : options_(options) {
+    : ReducedModelPreconditioner(3), options_(options) {
   if (options_.energy_target <= 0.0 || options_.energy_target > 1.0) {
     throw std::invalid_argument("svd: energy_target must be in (0, 1]");
   }
 }
 
-io::Container SvdPreconditioner::encode(const sim::Field& field,
-                                        const CodecPair& codecs,
-                                        EncodeStats* stats) const {
-  const obs::ScopedSpan span("precondition/svd");
-  const la::Matrix a = as_matrix(field);
-  const auto svd = la::jacobi_svd(a, options_.svd);
+ModelFit SvdPreconditioner::fit(const sim::Field& field,
+                               const CodecPair& codecs,
+                               std::span<double> delta) const {
+  const auto svd = la::jacobi_svd(as_matrix(field), options_.svd);
   if (!svd.converged) {
     throw PreconditionError(
         PrecondErrc::kSvdNonConvergence,
@@ -69,37 +66,30 @@ io::Container SvdPreconditioner::encode(const sim::Field& field,
     recon_p = la::Matrix(p.rows(), p.cols(),
                          codecs.reduced->decompress(p_bytes));
   }
-  la::Matrix delta = recon_p * vk.transposed();
-  if (svd.transposed) delta = delta.transposed();
-  delta_in_place(field, delta.flat());
+  la::Matrix reconstruction = recon_p * vk.transposed();
+  if (svd.transposed) reconstruction = reconstruction.transposed();
+  write_delta(field.flat(), reconstruction.flat(), delta);
 
-  const std::uint64_t meta[3] = {k, p.rows(), svd.transposed ? 1u : 0u};
-  return reduced_model_container(
-      name(), field,
-      {{"u_sigma", std::move(p_bytes)}, {"v", matrix_to_bytes(vk)}},
-      delta.flat(), meta, codecs, stats);
+  return {{{"u_sigma", std::move(p_bytes)}, {"v", matrix_to_bytes(vk)}},
+          {k, p.rows(), svd.transposed ? 1u : 0u}};
 }
 
-sim::Field SvdPreconditioner::decode(const io::Container& container,
-                                     const CodecPair& codecs,
-                                     const sim::Field*) const {
-  const obs::ScopedSpan span("svd");
-  const auto& p_section = require_section(container, "u_sigma", "svd");
-  const auto& v_section = require_section(container, "v", "svd");
-  const auto& meta_section = require_section(container, "meta", "svd");
-  const auto meta = bytes_to_u64s(meta_section.bytes);
-  const std::size_t k = meta.at(0);
-  const std::size_t rows = meta.at(1);
-  const bool transposed = meta.at(2) != 0;
-
-  sim::Field out = decode_delta(container, codecs, "svd");
-  const la::Matrix vk = bytes_to_matrix(v_section.bytes);
-  la::Matrix p(rows, k, codecs.reduced->decompress(p_section.bytes));
+void SvdPreconditioner::rebuild(const ModelSections& sections,
+                                std::span<const std::uint64_t> meta,
+                                const compress::Dims&, const CodecPair& codecs,
+                                std::span<double> out) const {
+  const std::uint64_t k = meta[0];
+  const std::uint64_t rows = meta[1];
+  const bool transposed = meta[2] != 0;
+  const la::Matrix vk = bytes_to_matrix(sections["v"]);
+  const la::Matrix p(rows, k,
+                     sections.values("u_sigma", *codecs.reduced, {rows, k}));
+  if (vk.cols() != k) sections.malformed("v", "v and u_sigma ranks differ");
+  sections.require_cells("v", {rows, vk.rows()}, out.size());
 
   la::Matrix reconstruction = p * vk.transposed();
   if (transposed) reconstruction = reconstruction.transposed();
-  add_reconstruction(out, reconstruction.flat(), "svd");
-  return out;
+  add_reconstruction(out, reconstruction.flat());
 }
 
 }  // namespace rmp::core

@@ -24,16 +24,19 @@ struct SvdOptionsPre {
   la::SvdOptions svd = {};
 };
 
-class SvdPreconditioner final : public Preconditioner {
+/// meta = {k, rows of U_k diag(sigma_k), 1 if the SVD ran on the
+/// transpose}.
+class SvdPreconditioner final : public ReducedModelPreconditioner {
  public:
   explicit SvdPreconditioner(SvdOptionsPre options = {});
 
   std::string name() const override { return "svd"; }
 
-  io::Container encode(const sim::Field& field, const CodecPair& codecs,
-                       EncodeStats* stats) const override;
-  sim::Field decode(const io::Container& container, const CodecPair& codecs,
-                    const sim::Field* external_reduced) const override;
+  ModelFit fit(const sim::Field& field, const CodecPair& codecs,
+               std::span<double> delta) const override;
+  void rebuild(const ModelSections& sections,
+               std::span<const std::uint64_t> meta, const compress::Dims& dims,
+               const CodecPair& codecs, std::span<double> out) const override;
 
   const SvdOptionsPre& options() const noexcept { return options_; }
 

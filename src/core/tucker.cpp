@@ -8,9 +8,7 @@
 #include "core/precond_error.hpp"
 #include "core/reshape.hpp"
 #include "core/serialize.hpp"
-#include "io/container_error.hpp"
 #include "la/eigen.hpp"
-#include "obs/obs.hpp"
 
 namespace rmp::core {
 namespace {
@@ -125,16 +123,15 @@ std::vector<std::vector<double>> tucker_mode_proportions(
 }
 
 TuckerPreconditioner::TuckerPreconditioner(TuckerOptions options)
-    : options_(options) {
+    : ReducedModelPreconditioner(6), options_(options) {
   if (options_.energy_target <= 0.0 || options_.energy_target > 1.0) {
     throw std::invalid_argument("tucker: energy_target must be in (0, 1]");
   }
 }
 
-io::Container TuckerPreconditioner::encode(const sim::Field& field,
-                                           const CodecPair& codecs,
-                                           EncodeStats* stats) const {
-  const obs::ScopedSpan span("precondition/tucker");
+ModelFit TuckerPreconditioner::fit(const sim::Field& field,
+                                  const CodecPair& codecs,
+                                  std::span<double> delta) const {
   const Shape3 shape = canonical_shape(field);
   std::vector<double> tensor(field.flat().begin(), field.flat().end());
 
@@ -182,71 +179,52 @@ io::Container TuckerPreconditioner::encode(const sim::Field& field,
       traced_compress(*codecs.reduced, "reduced-compress", core,
                       {core_shape.d0, core_shape.d1, core_shape.d2});
 
-  // Reconstruction (clean core, paper-style), turned into the delta.
+  // Reconstruction from the clean core (paper-style).
   Shape3 recon_shape = core_shape;
-  std::vector<double> delta = core;
+  std::vector<double> recon = core;
   for (unsigned mode = 0; mode < 3; ++mode) {
     Shape3 next{};
-    delta = mode_multiply(delta, recon_shape, mode,
+    recon = mode_multiply(recon, recon_shape, mode,
                           factors[mode].transposed(), next);
     recon_shape = next;
   }
-  delta_in_place(field, delta);
+  write_delta(field.flat(), recon, delta);
 
-  const std::uint64_t meta[6] = {ranks[0], ranks[1], ranks[2],
-                                 shape.d0,  shape.d1, shape.d2};
-  return reduced_model_container(name(), field,
-                                 {{"core", std::move(core_bytes)},
-                                  {"u0", matrix_to_bytes(factors[0])},
-                                  {"u1", matrix_to_bytes(factors[1])},
-                                  {"u2", matrix_to_bytes(factors[2])}},
-                                 delta, meta, codecs, stats);
+  return {{{"core", std::move(core_bytes)},
+           {"u0", matrix_to_bytes(factors[0])},
+           {"u1", matrix_to_bytes(factors[1])},
+           {"u2", matrix_to_bytes(factors[2])}},
+          {ranks[0], ranks[1], ranks[2], shape.d0, shape.d1, shape.d2}};
 }
 
-sim::Field TuckerPreconditioner::decode(const io::Container& container,
-                                        const CodecPair& codecs,
-                                        const sim::Field*) const {
-  const obs::ScopedSpan span("tucker");
-  const auto& core_section = require_section(container, "core", "tucker");
-  const auto& meta_section = require_section(container, "meta", "tucker");
-  const auto meta = bytes_to_u64s(meta_section.bytes);
-  const Shape3 core_shape{meta.at(0), meta.at(1), meta.at(2)};
-  sim::Field out = decode_delta(container, codecs, "tucker");
-
+void TuckerPreconditioner::rebuild(const ModelSections& sections,
+                                   std::span<const std::uint64_t> meta,
+                                   const compress::Dims&,
+                                   const CodecPair& codecs,
+                                   std::span<double> out) const {
+  const Shape3 core_shape{meta[0], meta[1], meta[2]};
+  const std::string factor_names[3] = {"u0", "u1", "u2"};
   std::array<la::Matrix, 3> factors;
   for (unsigned mode = 0; mode < 3; ++mode) {
-    const auto& section =
-        require_section(container, "u" + std::to_string(mode), "tucker");
-    factors[mode] = bytes_to_matrix(section.bytes);
+    factors[mode] = bytes_to_matrix(sections[factor_names[mode]]);
   }
-
-  std::vector<double> recon = codecs.reduced->decompress(core_section.bytes);
-  // Core and factor shapes are stream-controlled: they must chain up to
-  // the header's cells before mode_multiply indexes with them.
-  const auto malformed = [](const std::string& section) {
-    return io::ContainerError(io::ContainerErrc::kSectionMalformed,
-                              "tucker decode: core/factor shapes disagree",
-                              section);
-  };
+  std::vector<double> recon = sections.values(
+      "core", *codecs.reduced, {core_shape.d0, core_shape.d1, core_shape.d2});
+  // Factor shapes are stream-controlled: each rank r_m must be the core's
+  // extent and at most its mode's extent d_m (so no partial product
+  // outgrows the field), and d0 * d1 * d2 must be the field's cells,
+  // before mode_multiply indexes with them.
   const std::size_t core_extents[3] = {core_shape.d0, core_shape.d1,
                                        core_shape.d2};
   for (unsigned mode = 0; mode < 3; ++mode) {
-    if (factors[mode].rows() != core_extents[mode]) {
-      throw malformed("u" + std::to_string(mode));
+    if (factors[mode].rows() != core_extents[mode] ||
+        factors[mode].rows() > factors[mode].cols()) {
+      sections.malformed(factor_names[mode], "core/factor shapes disagree");
     }
   }
-  if (recon.size() != la::checked_cells(la::checked_cells(core_shape.d0,
-                                                          core_shape.d1),
-                                        core_shape.d2)) {
-    throw malformed("core");
-  }
-  if (la::checked_cells(la::checked_cells(factors[0].cols(),
-                                          factors[1].cols()),
-                        factors[2].cols()) !=
-      la::checked_cells(la::checked_cells(container.nx, container.ny),
-                        container.nz)) {
-    throw malformed("meta");
-  }
+  sections.require_cells(
+      "u0", {factors[0].cols(), factors[1].cols(), factors[2].cols()},
+      out.size());
   Shape3 shape = core_shape;
   for (unsigned mode = 0; mode < 3; ++mode) {
     Shape3 next{};
@@ -254,8 +232,7 @@ sim::Field TuckerPreconditioner::decode(const io::Container& container,
                           next);
     shape = next;
   }
-  add_reconstruction(out, recon, "tucker");
-  return out;
+  add_reconstruction(out, recon);
 }
 
 }  // namespace rmp::core

@@ -21,16 +21,18 @@ struct TuckerOptions {
   double energy_target = 0.95;
 };
 
-class TuckerPreconditioner final : public Preconditioner {
+/// meta = {core ranks r0, r1, r2, canonical extents d0, d1, d2}.
+class TuckerPreconditioner final : public ReducedModelPreconditioner {
  public:
   explicit TuckerPreconditioner(TuckerOptions options = {});
 
   std::string name() const override { return "tucker"; }
 
-  io::Container encode(const sim::Field& field, const CodecPair& codecs,
-                       EncodeStats* stats) const override;
-  sim::Field decode(const io::Container& container, const CodecPair& codecs,
-                    const sim::Field* external_reduced) const override;
+  ModelFit fit(const sim::Field& field, const CodecPair& codecs,
+               std::span<double> delta) const override;
+  void rebuild(const ModelSections& sections,
+               std::span<const std::uint64_t> meta, const compress::Dims& dims,
+               const CodecPair& codecs, std::span<double> out) const override;
 
   const TuckerOptions& options() const noexcept { return options_; }
 

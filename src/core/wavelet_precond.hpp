@@ -19,16 +19,19 @@ struct WaveletOptions {
   bool transform_3d = false;
 };
 
-class WaveletPreconditioner final : public Preconditioner {
+/// meta = {1 if the 3D transform ran}, advisory: without it decode
+/// assumes the 2D transform.
+class WaveletPreconditioner final : public ReducedModelPreconditioner {
  public:
   explicit WaveletPreconditioner(WaveletOptions options = {});
 
   std::string name() const override { return "wavelet"; }
 
-  io::Container encode(const sim::Field& field, const CodecPair& codecs,
-                       EncodeStats* stats) const override;
-  sim::Field decode(const io::Container& container, const CodecPair& codecs,
-                    const sim::Field* external_reduced) const override;
+  ModelFit fit(const sim::Field& field, const CodecPair& codecs,
+               std::span<double> delta) const override;
+  void rebuild(const ModelSections& sections,
+               std::span<const std::uint64_t> meta, const compress::Dims& dims,
+               const CodecPair& codecs, std::span<double> out) const override;
 
   const WaveletOptions& options() const noexcept { return options_; }
 

@@ -4,7 +4,9 @@
 
 #include <cmath>
 
+#include "compress/codec_error.hpp"
 #include "core/pipeline.hpp"
+#include "core/serialize.hpp"
 #include "sim/heat.hpp"
 #include "stats/metrics.hpp"
 
@@ -85,6 +87,31 @@ TEST(Cascade, DecodeRejectsMissingStages) {
   empty.method = "pca>svd";
   EXPECT_THROW(cascade.decode(empty, codecs.pair(), nullptr),
                std::runtime_error);
+}
+
+// Stage 1's null delta holds only a count: any count but the stage-1
+// field's cells is a typed codec error, raised before the count sizes an
+// allocation (2^40 cells would be 8 TiB).
+TEST(Cascade, StageOneNullCountIsChecked) {
+  const Codecs codecs = make_codecs("zfp");
+  CascadePreconditioner cascade("pca", "wavelet");
+  const sim::Field f = heat_field();
+  const io::Container complete = cascade.encode(f, codecs.pair(), nullptr);
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 40, std::uint64_t{f.size() + 1}}) {
+    io::Container mutated = complete;
+    for (auto& s : mutated.sections) {
+      if (s.name != "stage1") continue;
+      io::Container stage1 = io::deserialize(s.bytes);
+      for (auto& t : stage1.sections) {
+        if (t.name == "delta") t.bytes = u64s_to_bytes({&count, 1});
+      }
+      s.bytes = io::serialize(stage1);
+    }
+    EXPECT_THROW(cascade.decode(mutated, codecs.pair(), nullptr),
+                 compress::CodecError)
+        << count;
+  }
 }
 
 }  // namespace

@@ -81,7 +81,8 @@ TEST_P(DecodeErrors, CorruptedSectionBytesThrow) {
 
 // Stream-controlled shapes checked before use: a matrix header whose
 // rows * cols * 8 wraps to zero, a pca-part meta with no rows, and
-// blocked metas whose block count or grid disagrees with the container.
+// blocked metas whose block count or word count disagrees with the
+// container.
 TEST_P(DecodeErrors, HostileShapesThrowInsteadOfCrashing) {
   const Codecs codecs = make_codecs("zfp");
   const auto preconditioner = make_preconditioner(GetParam());
@@ -140,16 +141,64 @@ TEST_P(DecodeErrors, HostileShapesThrowInsteadOfCrashing) {
   if (GetParam().rfind("blocked-", 0) == 0) {
     expect_throw("meta", no_blocks, true);
     expect_throw("meta", oversized, true);
-    // A nested block header claiming a far larger block than the meta.
+  }
+}
+
+// The codec streams a model's meta shapes: PCA scores, SVD U_k sigma_k,
+// the Tucker core, projection planes, the identity payload; in blocked
+// archives with the block suffix.
+bool is_reduced_stream(const std::string& section) {
+  const std::string base =
+      section.substr(0, section.find_first_of("0123456789"));
+  return base == "scores" || base == "u_sigma" || base == "core" ||
+         base == "reduced" || base == "data";
+}
+
+// A meta section cut short, or a reduced stream holding other than the
+// values its meta shapes, is a typed section error: never an index past
+// the meta words or a usage error from shaping the values.
+TEST_P(DecodeErrors, ShortMetaOrReducedStreamIsMalformed) {
+  const Codecs codecs = make_codecs("zfp");
+  const auto preconditioner = make_preconditioner(GetParam());
+  const io::Container complete =
+      preconditioner->encode(field3d(), codecs.pair(), nullptr);
+  const auto expect_malformed = [&](const std::string& section,
+                                    std::vector<std::uint8_t> bytes,
+                                    const std::string& what) {
     io::Container mutated = complete;
     for (auto& s : mutated.sections) {
-      if (s.name != "block0") continue;
-      io::Container nested = io::deserialize(s.bytes);
-      nested.nx = std::uint64_t{1} << 40;
-      s.bytes = io::serialize(nested);
+      if (s.name == section) s.bytes = bytes;
     }
-    EXPECT_THROW(preconditioner->decode(mutated, codecs.pair(), nullptr),
-                 io::ContainerError);
+    try {
+      (void)preconditioner->decode(mutated, codecs.pair(), nullptr);
+      ADD_FAILURE() << what << " decoded";
+    } catch (const io::ContainerError& e) {
+      EXPECT_EQ(e.code(), io::ContainerErrc::kSectionMalformed)
+          << what << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": untyped " << e.what();
+    }
+  };
+
+  const io::Section* meta = complete.find("meta");
+  if (meta != nullptr && !section_is_advisory(GetParam(), "meta")) {
+    const auto words = bytes_to_u64s(meta->bytes);
+    for (const std::size_t keep : {0, 1}) {
+      if (keep >= words.size()) continue;
+      expect_malformed(
+          "meta", u64s_to_bytes(std::span(words).first(keep)),
+          "meta cut to " + std::to_string(keep) + " word(s)");
+    }
+  }
+  for (const auto& section : complete.sections) {
+    if (!is_reduced_stream(section.name)) continue;
+    auto values = codecs.reduced->decompress(section.bytes);
+    values.resize(values.size() > 1 ? values.size() - 1 : 2);
+    expect_malformed(
+        section.name,
+        codecs.reduced->compress(values, compress::Dims::d1(values.size())),
+        section.name + " holding " + std::to_string(values.size()) +
+            " values");
   }
 }
 
@@ -167,7 +216,9 @@ INSTANTIATE_TEST_SUITE_P(AllMethods, DecodeErrors,
                          ::testing::Values("identity", "one-base",
                                            "multi-base", "duomodel", "pca",
                                            "svd", "wavelet", "pca-part",
-                                           "tucker", "blocked-svd"),
+                                           "tucker", "blocked-svd",
+                                           "blocked-wavelet",
+                                           "blocked-tucker"),
                          [](const auto& info) {
                            std::string name = info.param;
                            for (char& c : name) {

@@ -279,9 +279,10 @@ std::vector<std::uint8_t> long_chain_input() {
   std::vector<std::uint8_t> input;
   std::vector<std::uint8_t> first;
   for (int r = 0; r < 100; ++r) {
-    std::vector<std::uint8_t> record = bytes_of("abc");
-    append(record, random_bytes(rng, 3, 16));
-    record.push_back(static_cast<std::uint8_t>(100 + r));
+    const auto letters = random_bytes(rng, 3, 16);
+    const std::vector<std::uint8_t> record = {
+        'a', 'b', 'c', letters[0], letters[1], letters[2],
+        static_cast<std::uint8_t>(100 + r)};
     if (r == 0) first = record;
     append(input, record);
     append(input, pad);

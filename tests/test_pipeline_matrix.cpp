@@ -133,7 +133,7 @@ INSTANTIATE_TEST_SUITE_P(
 // --- golden archives: refactors of the preconditioners must not move a bit
 //
 // Size and CRC32 of io::serialize(encode(...)) for every registered method
-// (plus a blocked and a cascaded one) under both codec pairs, on the cube
+// (plus three blocked and a cascaded one) under both codec pairs, on the cube
 // field above and, for the spectral methods, on a constant field (whose
 // spectrum sums to zero).  `decoded` is the CRC32 of the decoded doubles.
 // Any drift means archives written earlier would no longer reproduce.
@@ -164,7 +164,9 @@ constexpr ArchivePin kArchivePins[] = {
     {"wavelet", "sz", false, 2290u, 0xAE6F0503u, 0x6079EDD1u},
     {"pca-part", "sz", false, 3681u, 0x36D2BEB0u, 0xCDFBF0BCu},
     {"tucker", "sz", false, 2279u, 0xDCD5CF46u, 0xD88BFDE7u},
-    {"blocked-svd", "sz", false, 7625u, 0x0AA50D7Au, 0xF4C31773u},
+    {"blocked-svd", "sz", false, 5626u, 0xA42EFBD0u, 0x6BC38BABu},
+    {"blocked-wavelet", "sz", false, 3482u, 0x5861C8C2u, 0xFD7DD92Eu},
+    {"blocked-tucker", "sz", false, 6625u, 0x218ABC35u, 0xC23099E2u},
     {"pca>wavelet", "sz", false, 5711u, 0x3BDB698Eu, 0x80398DE9u},
     {"pca", "sz", true, 1431u, 0x07FA07E9u, 0x405D971Fu},
     {"svd", "sz", true, 629u, 0xC3B200B0u, 0x405D971Fu},
@@ -180,7 +182,9 @@ constexpr ArchivePin kArchivePins[] = {
     {"wavelet", "zfp", false, 1629u, 0x85D8B0FCu, 0x9A3EF239u},
     {"pca-part", "zfp", false, 2009u, 0x469F8D7Bu, 0x21BB3E7Fu},
     {"tucker", "zfp", false, 1600u, 0xB4DCB423u, 0xA149AE61u},
-    {"blocked-svd", "zfp", false, 3248u, 0x792B3158u, 0x994B5E7Du},
+    {"blocked-svd", "zfp", false, 2581u, 0x954F91C0u, 0xC55C46D0u},
+    {"blocked-wavelet", "zfp", false, 2560u, 0x6B9B3BC3u, 0x6D4CA8F8u},
+    {"blocked-tucker", "zfp", false, 4046u, 0x5C152130u, 0x3A78AA6Fu},
     {"pca>wavelet", "zfp", false, 3511u, 0xBDA4FF76u, 0x68E5DD35u},
     {"pca", "zfp", true, 1162u, 0x4FCBA9B6u, 0x405D971Fu},
     {"svd", "zfp", true, 708u, 0x31114CCAu, 0xCAAFC5FFu},
@@ -190,8 +194,8 @@ constexpr ArchivePin kArchivePins[] = {
 
 TEST(PipelineMatrixGolden, ArchiveBytesArePinned) {
   std::vector<std::string> methods = preconditioner_names();
-  methods.push_back("blocked-svd");
-  methods.push_back("pca>wavelet");
+  methods.insert(methods.end(), {"blocked-svd", "blocked-wavelet",
+                                 "blocked-tucker", "pca>wavelet"});
   const std::vector<std::string> spectral = {"pca", "svd", "pca-part",
                                              "tucker"};
   std::size_t checked = 0;

@@ -5,7 +5,7 @@
 
 #include <cmath>
 
-#include "core/partitioned.hpp"
+#include "core/blocked.hpp"
 #include "core/pca.hpp"
 #include "core/projection.hpp"
 #include "core/svd_precond.hpp"
@@ -117,7 +117,7 @@ class PartitionSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(PartitionSweep, EveryPartitionCountRoundTrips) {
   const Codecs codecs = make_codecs("zfp");
-  PartitionedPcaPreconditioner preconditioner({GetParam(), 0.95});
+  BlockedPreconditioner preconditioner("pca", GetParam());
   const auto container =
       preconditioner.encode(test_field(), codecs.pair(), nullptr);
   const auto decoded =

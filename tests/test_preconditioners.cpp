@@ -4,8 +4,8 @@
 #include <cmath>
 #include <cstdint>
 
+#include "core/blocked.hpp"
 #include "core/identity.hpp"
-#include "core/partitioned.hpp"
 #include "core/pca.hpp"
 #include "core/projection.hpp"
 #include "core/reshape.hpp"
@@ -327,7 +327,7 @@ TEST(Wavelet, RejectsBadThreshold) {
 
 TEST(PartitionedPca, RoundTripWithinError) {
   const Codecs codecs = make_codecs("zfp");
-  PartitionedPcaPreconditioner p({4, 0.95});
+  BlockedPreconditioner p("pca", 4);
   const sim::Field f = smooth_3d_field(12);
   EXPECT_LT(round_trip_rmse(p, f, codecs.pair()), 0.5);
 }
@@ -337,8 +337,7 @@ TEST(PartitionedPca, SinglePartitionMatchesPcaClosely) {
   const sim::Field f = smooth_3d_field(10);
   const double whole = round_trip_rmse(PcaPreconditioner(), f, codecs.pair());
   const double part =
-      round_trip_rmse(PartitionedPcaPreconditioner({1, 0.95}), f,
-                      codecs.pair());
+      round_trip_rmse(BlockedPreconditioner("pca", 1), f, codecs.pair());
   EXPECT_NEAR(part, whole, std::max(whole, part) * 0.5 + 1e-9);
 }
 
